@@ -37,7 +37,6 @@ from .series import (
     NotPolynomialError,
     TruncatedSeries,
     TruncationProfile,
-    evaluate_at_integer,
     gl_class,
     q_factorial,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_diagram_tuples",
     "enumerate_plane_partitions",
     "enumerate_young_diagrams",
-    "evaluate_at_integer",
     "fixed_component_class",
     "gl_class",
     "limit_class",

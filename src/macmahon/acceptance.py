@@ -46,13 +46,15 @@ def check_macmahon_baseline(order: int = 8) -> dict:
         fp = fp * FactorProduct.from_factor({"s": k}, -k)
     series = fp.expand(TruncationProfile(s=order))
     expanded = [series.coefficient({"s": n}) for n in range(order + 1)]
-    expected = list(MACMAHON_COUNTS[: order + 1])
+    # the known counts check the prefix they cover; beyond it the two
+    # computations are held to each other alone
+    known = list(MACMAHON_COUNTS[: order + 1])
     return {
         "name": "macmahon",
         "order": order,
         "enumerated": counts,
         "expanded": expanded,
-        "match": counts == expanded == expected,
+        "match": counts == expanded and counts[: len(known)] == known,
     }
 
 

@@ -252,15 +252,11 @@ def _format_csv(report: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --format/--jobs are accepted both before and after the subcommand; the
-    # subcommand-level copies default to SUPPRESS so they only override
+    # --format is accepted both before and after the subcommand; the
+    # subcommand-level copy defaults to SUPPRESS so it only overrides
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table", "csv"), default=argparse.SUPPRESS
-    )
-    common.add_argument(
-        "--jobs", type=int, default=argparse.SUPPRESS,
-        help="concurrency hint (accepted, sequential)",
     )
 
     parser = argparse.ArgumentParser(
@@ -269,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "class polynomials, and finite-field point-count cross-checks.",
     )
     parser.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="concurrency hint (accepted, sequential)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     enum = sub.add_parser("enumerate", parents=[common], help="enumerate combinatorial objects")
@@ -342,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         "parameters": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("runner", "format", "jobs") and v is not None
+            if k not in ("runner", "format") and v is not None
         },
         **report,
     }

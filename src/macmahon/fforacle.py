@@ -35,6 +35,11 @@ class BudgetExceededError(RuntimeError):
     """The raw search space exceeds the instance budget."""
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+
+
 @dataclass(frozen=True)
 class ChainInstance:
     """Chain data: maps f_i between the mu-stages and g_i onto the nu-stages,
@@ -45,6 +50,9 @@ class ChainInstance:
     h: tuple[Matrix, ...] | None = None
     budget: int = DEFAULT_BUDGET
 
+    def __post_init__(self):
+        _check_budget(self.budget)
+
 
 @dataclass(frozen=True)
 class GridInstance:
@@ -52,6 +60,9 @@ class GridInstance:
 
     partition: PlanePartition
     budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        _check_budget(self.budget)
 
 
 def chain_entry_count(mu: tuple[int, ...], nu: tuple[int, ...]) -> int:

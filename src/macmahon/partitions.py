@@ -216,6 +216,8 @@ def enumerate_plane_partitions(
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
+    if max_first_entry is not None and max_first_entry < 0:
+        raise ValueError("max_first_entry must be nonnegative")
     cap = n if max_first_entry is None else min(int(max_first_entry), n)
 
     def rec(prev: tuple[int, ...] | None, remaining: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -10,6 +10,7 @@ denominators is exact multiset arithmetic.
 from __future__ import annotations
 
 from math import comb
+from operator import add, neg
 from typing import Mapping
 
 # Closed variable alphabet. "L" is the class of the affine line; identities
@@ -18,37 +19,55 @@ ALPHABET = ("q", "t", "s", "L")
 
 _ALPHABET_INDEX = {v: i for i, v in enumerate(ALPHABET)}
 
-ExponentKey = tuple[tuple[str, int], ...]
+# An exponent vector over the whole alphabet, indexed like ALPHABET.
+Vector = tuple[int, int, int, int]
+
+_ZERO: Vector = (0, 0, 0, 0)
 
 
 class NotPolynomialError(ValueError):
     """A factored product failed exact polynomial division."""
 
 
-def _canonical_exponents(exponents: Mapping[str, int]) -> ExponentKey:
-    for var in exponents:
-        if var not in _ALPHABET_INDEX:
-            raise ValueError(f"unknown variable {var!r}; alphabet is {ALPHABET}")
-    items = [(v, int(e)) for v, e in exponents.items() if int(e) != 0]
-    items.sort(key=lambda ve: _ALPHABET_INDEX[ve[0]])
-    return tuple(items)
+def _index(var: str) -> int:
+    try:
+        return _ALPHABET_INDEX[var]
+    except KeyError:
+        raise ValueError(f"unknown variable {var!r}; alphabet is {ALPHABET}") from None
+
+
+def _alphabet_vector(exponents: Mapping[str, int]) -> Vector:
+    vec = list(_ZERO)
+    for var, e in exponents.items():
+        vec[_index(var)] = int(e)
+    return tuple(vec)
+
+
+def _pairs(vec: Vector) -> tuple[tuple[str, int], ...]:
+    """The nonzero (variable, exponent) pairs of a vector, in ALPHABET order.
+
+    Also the sort key that orders factors for expansion and display; the
+    multiplication order it fixes keeps the intermediate series small.
+    """
+    return tuple((v, e) for v, e in zip(ALPHABET, vec) if e)
 
 
 class TruncationProfile:
     """Per-variable exponent caps; variables not listed are disallowed."""
 
-    __slots__ = ("vars", "caps")
+    __slots__ = ("vars", "caps", "_inside", "_outside")
 
     def __init__(self, caps: Mapping[str, int] | None = None, **kw: int):
         merged: dict[str, int] = dict(caps or {})
         merged.update(kw)
         for var, cap in merged.items():
-            if var not in _ALPHABET_INDEX:
-                raise ValueError(f"unknown variable {var!r}; alphabet is {ALPHABET}")
+            _index(var)  # rejects a variable outside the alphabet
             if int(cap) < 0:
                 raise ValueError(f"cap for {var!r} must be nonnegative")
         self.vars: tuple[str, ...] = tuple(v for v in ALPHABET if v in merged)
         self.caps: tuple[int, ...] = tuple(int(merged[v]) for v in self.vars)
+        self._inside = tuple(_ALPHABET_INDEX[v] for v in self.vars)
+        self._outside = tuple(i for i in range(len(ALPHABET)) if i not in self._inside)
 
     def cap(self, var: str) -> int:
         try:
@@ -62,20 +81,20 @@ class TruncationProfile:
     def admits(self, vec: tuple[int, ...]) -> bool:
         return all(0 <= e <= c for e, c in zip(vec, self.caps))
 
+    def coordinates(self, vec: Vector) -> tuple[int, ...] | None:
+        """This profile's exponent vector for an ALPHABET vector, or None
+        when beyond caps."""
+        for i in self._outside:
+            if vec[i]:
+                raise ValueError(f"variable {ALPHABET[i]!r} not allowed by profile {self!r}")
+        out = tuple(vec[i] for i in self._inside)
+        if any(e < 0 for e in out):
+            raise ValueError(f"negative exponent in {dict(_pairs(vec))}")
+        return out if self.admits(out) else None
+
     def vector(self, exponents: Mapping[str, int]) -> tuple[int, ...] | None:
         """Full exponent vector for this profile, or None when beyond caps."""
-        vec = [0] * len(self.vars)
-        for var, e in exponents.items():
-            e = int(e)
-            if e == 0:
-                continue
-            if e < 0:
-                raise ValueError(f"negative exponent for {var!r}")
-            if var not in self.vars:
-                raise ValueError(f"variable {var!r} not allowed by profile {self!r}")
-            vec[self.vars.index(var)] = e
-        vec_t = tuple(vec)
-        return vec_t if self.admits(vec_t) else None
+        return self.coordinates(_alphabet_vector(exponents))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -158,44 +177,6 @@ class TruncatedSeries:
                     del out[vec]
         return TruncatedSeries(self.profile, out)
 
-    def __pow__(self, n: int) -> TruncatedSeries:
-        if n < 0:
-            raise ValueError("negative series power; use divide")
-        result = TruncatedSeries.one(self.profile)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def divide(self, other: TruncatedSeries) -> TruncatedSeries:
-        """Exact quotient in the truncated ring.
-
-        The divisor must have constant term +1 or -1 (a unit over the
-        integers); then divide(a, b) * b == a modulo the profile.
-        """
-        self._require_same(other)
-        zero_vec = self.profile.zero()
-        c0 = other.coeffs.get(zero_vec, 0)
-        if c0 not in (1, -1):
-            raise ValueError("divisor constant term must be +1 or -1")
-        tail = TruncatedSeries(
-            self.profile, {k: -c0 * v for k, v in other.coeffs.items() if k != zero_vec}
-        )
-        inv = TruncatedSeries.one(self.profile)
-        power = TruncatedSeries.one(self.profile)
-        for _ in range(sum(self.profile.caps)):
-            power = power * tail
-            if power.is_zero():
-                break
-            inv = inv + power
-        if c0 == -1:
-            inv = -inv
-        return self * inv
-
     def coefficient(self, exponents: Mapping[str, int]) -> int:
         vec = self.profile.vector(exponents)
         return 0 if vec is None else self.coeffs.get(vec, 0)
@@ -252,7 +233,8 @@ class TruncatedSeries:
 class FactorProduct:
     """A signed monomial times a multiset of atomic factors (1 - x^e)^m.
 
-    The exponent vector e of a factor key is nonzero with nonnegative
+    The monomial and every factor key are exponent vectors indexed like
+    ALPHABET. The vector e of a factor key is nonzero with nonnegative
     entries, so every factor has constant term 1 and the whole product is a
     unit in the integer power-series ring. Multiplication and division merge
     multiplicities; common factors cancel exactly before any expansion.
@@ -263,14 +245,14 @@ class FactorProduct:
     def __init__(
         self,
         coeff: int = 1,
-        mono: ExponentKey = (),
-        factors: Mapping[ExponentKey, int] | None = None,
+        mono: Vector = _ZERO,
+        factors: Mapping[Vector, int] | None = None,
     ):
         if coeff not in (1, -1):
             raise ValueError("prefactor coefficient must be +1 or -1")
         self.coeff = coeff
         self.mono = mono
-        self.factors: dict[ExponentKey, int] = dict(factors or {})
+        self.factors: dict[Vector, int] = dict(factors or {})
 
     @classmethod
     def one(cls) -> FactorProduct:
@@ -278,21 +260,18 @@ class FactorProduct:
 
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: int = 1) -> FactorProduct:
-        return cls(coeff, _canonical_exponents(exponents), {})
+        return cls(coeff, _alphabet_vector(exponents), {})
 
     @classmethod
     def from_factor(cls, exponents: Mapping[str, int], multiplicity: int = 1) -> FactorProduct:
-        key = _canonical_exponents(exponents)
-        if not key:
+        key = _alphabet_vector(exponents)
+        if key == _ZERO:
             raise ValueError("the factor (1 - 1) is forbidden")
-        if any(e < 0 for _, e in key):
+        if min(key) < 0:
             raise ValueError("factor exponents must be nonnegative")
         if multiplicity == 0:
             return cls.one()
-        return cls(1, (), {key: int(multiplicity)})
-
-    def _mono_dict(self) -> dict[str, int]:
-        return dict(self.mono)
+        return cls(1, _ZERO, {key: int(multiplicity)})
 
     def __mul__(self, other: FactorProduct) -> FactorProduct:
         factors = dict(self.factors)
@@ -302,39 +281,24 @@ class FactorProduct:
                 factors[key] = nm
             else:
                 del factors[key]
-        mono = self._mono_dict()
-        for var, e in other.mono:
-            mono[var] = mono.get(var, 0) + e
-        return FactorProduct(self.coeff * other.coeff, _canonical_exponents(mono), factors)
+        mono = tuple(map(add, self.mono, other.mono))
+        return FactorProduct(self.coeff * other.coeff, mono, factors)
 
     def inverse(self) -> FactorProduct:
         return FactorProduct(
             self.coeff,
-            tuple((v, -e) for v, e in self.mono),
+            tuple(map(neg, self.mono)),
             {k: -m for k, m in self.factors.items()},
         )
 
     def __truediv__(self, other: FactorProduct) -> FactorProduct:
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> FactorProduct:
-        if n == 0:
-            return FactorProduct.one()
-        coeff = 1 if self.coeff == 1 or n % 2 == 0 else -1
-        return FactorProduct(
-            coeff,
-            tuple((v, e * n) for v, e in self.mono),
-            {k: m * n for k, m in self.factors.items()},
-        )
-
     def is_one(self) -> bool:
-        return self.coeff == 1 and not self.mono and not self.factors
+        return self.coeff == 1 and self.mono == _ZERO and not self.factors
 
     def variables(self) -> set[str]:
-        out = {v for v, _ in self.mono}
-        for key in self.factors:
-            out.update(v for v, _ in key)
-        return out
+        return {v for v, column in zip(ALPHABET, zip(self.mono, *self.factors)) if any(column)}
 
     def substitute_zero(self, var: str) -> FactorProduct:
         """Set a variable to zero.
@@ -343,10 +307,10 @@ class FactorProduct:
         term 1 and collapses to 1; the monomial prefactor must not involve
         the variable (the result would vanish or blow up).
         """
-        for v, e in self.mono:
-            if v == var:
-                raise ValueError(f"monomial prefactor involves {var!r}; specialization is singular")
-        factors = {k: m for k, m in self.factors.items() if all(v != var for v, _ in k)}
+        i = _index(var)
+        if self.mono[i]:
+            raise ValueError(f"monomial prefactor involves {var!r}; specialization is singular")
+        factors = {k: m for k, m in self.factors.items() if not k[i]}
         return FactorProduct(self.coeff, self.mono, factors)
 
     def rename(self, old: str, new: str) -> FactorProduct:
@@ -354,13 +318,20 @@ class FactorProduct:
             return self
         if new in self.variables():
             raise ValueError(f"variable {new!r} already present")
+        # the new variable's coordinate is zero everywhere, so renaming is a swap
+        order = list(range(len(ALPHABET)))
+        i, j = _index(old), _index(new)
+        order[i], order[j] = j, i
 
-        def rekey(key: ExponentKey) -> ExponentKey:
-            return _canonical_exponents({(new if v == old else v): e for v, e in key})
+        def rekey(vec: Vector) -> Vector:
+            return tuple(vec[k] for k in order)
 
         return FactorProduct(
             self.coeff, rekey(self.mono), {rekey(k): m for k, m in self.factors.items()}
         )
+
+    def _ordered_factors(self) -> list[tuple[Vector, int]]:
+        return sorted(self.factors.items(), key=lambda item: _pairs(item[0]))
 
     def expand(self, profile: TruncationProfile) -> TruncatedSeries:
         """Exact expansion truncated to the profile.
@@ -369,14 +340,14 @@ class FactorProduct:
         1. Negative multiplicities expand through the binomial series
         (1 - u)^-n = sum_k C(n+k-1, k) u^k, exact over the integers.
         """
-        for _, e in self.mono:
-            if e < 0:
-                raise ValueError("negative exponent in monomial prefactor; cannot expand")
-        series = TruncatedSeries.monomial(profile, self._mono_dict(), self.coeff)
-        for key, mult in sorted(self.factors.items()):
+        if min(self.mono) < 0:
+            raise ValueError("negative exponent in monomial prefactor; cannot expand")
+        start = profile.coordinates(self.mono)
+        series = TruncatedSeries(profile, {} if start is None else {start: self.coeff})
+        for key, mult in self._ordered_factors():
             if series.is_zero():
                 break
-            vec = profile.vector(dict(key))
+            vec = profile.coordinates(key)
             if vec is None:
                 continue
             kmax = min(c // e for e, c in zip(vec, profile.caps) if e > 0)
@@ -406,38 +377,35 @@ class FactorProduct:
         vars_used = self.variables()
         if len(vars_used) > 1:
             raise NotPolynomialError(f"not univariate: {sorted(vars_used)}")
-        var = next(iter(vars_used)) if vars_used else None
+        if not vars_used:
+            return None, {0: self.coeff}
+        var = vars_used.pop()
+        i = _ALPHABET_INDEX[var]
         poly = {0: self.coeff}
         negatives: list[tuple[int, int]] = []
-        for key, mult in sorted(self.factors.items()):
-            e = key[0][1]
+        for key, mult in self._ordered_factors():
             if mult > 0:
                 for _ in range(mult):
-                    poly = _mul_one_minus(poly, e)
+                    poly = _mul_one_minus(poly, key[i])
             else:
-                negatives.append((e, -mult))
+                negatives.append((key[i], -mult))
         for e, count in negatives:
             for _ in range(count):
                 poly = _div_one_minus(poly, e)
-        shift = self.mono[0][1] if self.mono else 0
+        shift = self.mono[i]
         if shift:
             if shift < 0 and any(d < -shift for d in poly):
                 raise NotPolynomialError("monomial denominator does not divide")
             poly = {d + shift: c for d, c in poly.items()}
         return var, poly
 
-    def evaluate_int(self, x: int) -> int:
-        """Exact integer value; requires a certified univariate polynomial."""
-        _, poly = self.to_polynomial()
-        return sum(c * x**d for d, c in poly.items())
-
     def to_json_dict(self) -> dict:
         """{prefactor: {coeff, monomial}, factors: [{exponents, multiplicity}]}."""
         return {
-            "prefactor": {"coeff": str(self.coeff), "monomial": dict(self.mono)},
+            "prefactor": {"coeff": str(self.coeff), "monomial": dict(_pairs(self.mono))},
             "factors": [
-                {"exponents": dict(key), "multiplicity": mult}
-                for key, mult in sorted(self.factors.items())
+                {"exponents": dict(_pairs(key)), "multiplicity": mult}
+                for key, mult in self._ordered_factors()
             ],
         }
 
@@ -451,13 +419,13 @@ class FactorProduct:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        def fmt_mono(key: ExponentKey) -> str:
-            return " ".join(f"{v}^{e}" if e != 1 else v for v, e in key) or "1"
+        def fmt_mono(vec: Vector) -> str:
+            return " ".join(f"{v}^{e}" if e != 1 else v for v, e in _pairs(vec)) or "1"
 
         parts = [] if self.coeff == 1 else ["-"]
-        if self.mono:
+        if self.mono != _ZERO:
             parts.append(fmt_mono(self.mono))
-        for key, m in sorted(self.factors.items()):
+        for key, m in self._ordered_factors():
             parts.append(f"(1 - {fmt_mono(key)})^{m}" if m != 1 else f"(1 - {fmt_mono(key)})")
         return "FactorProduct[" + (" ".join(parts) or "1") + "]"
 
@@ -508,14 +476,3 @@ def gl_class(n: int) -> FactorProduct:
         raise ValueError("gl_class needs a nonnegative rank")
     sign = 1 if n % 2 == 0 else -1
     return FactorProduct.monomial({"L": n * (n - 1) // 2}, sign) * q_factorial(n, "L")
-
-
-def evaluate_at_integer(obj: FactorProduct | TruncatedSeries, x: int) -> int:
-    """Exact integer specialization of a univariate polynomial object."""
-    if isinstance(obj, FactorProduct):
-        return obj.evaluate_int(x)
-    if isinstance(obj, TruncatedSeries):
-        if len(obj.profile.vars) > 1:
-            raise NotPolynomialError(f"not univariate: {obj.profile.vars}")
-        return sum(c * x ** (vec[0] if vec else 0) for vec, c in obj.coeffs.items())
-    raise TypeError(f"cannot evaluate {type(obj).__name__}")

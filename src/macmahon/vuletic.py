@@ -9,8 +9,6 @@ identity-verification boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import PlanePartition, diagonal_partitions, enumerate_plane_partitions
 from .series import FactorProduct, TruncatedSeries, TruncationProfile
 
@@ -26,14 +24,6 @@ def little_f(n: int, m: int) -> FactorProduct:
     return out
 
 
-@dataclass(frozen=True)
-class BoxWeight:
-    """The weight attached to one box of a plane partition."""
-
-    box: tuple[int, int]
-    factor: FactorProduct
-
-
 def _level_factor(top: int, lam, mu, nu, m: int) -> FactorProduct:
     args = (
         top - mu.part(m + 1),
@@ -41,13 +31,12 @@ def _level_factor(top: int, lam, mu, nu, m: int) -> FactorProduct:
         top - lam.part(m + 1),
         top - lam.part(m + 2),
     )
-    assert all(a >= 0 for a in args), f"negative weight argument at level {m}: {args}"
     num = little_f(args[0], m) * little_f(args[1], m)
     den = little_f(args[2], m) * little_f(args[3], m)
     return num / den
 
 
-def box_weight(pi: PlanePartition, i: int, j: int, levels: int | None = None) -> BoxWeight:
+def box_weight(pi: PlanePartition, i: int, j: int, levels: int | None = None) -> FactorProduct:
     """Weight of box (i, j): the product over levels m of
 
         f(a - mu_{m+1}, m) f(a - nu_{m+1}, m) / (f(a - lam_{m+1}, m) f(a - lam_{m+2}, m))
@@ -63,18 +52,16 @@ def box_weight(pi: PlanePartition, i: int, j: int, levels: int | None = None) ->
     out = FactorProduct.one()
     for m in range(cut):
         out = out * _level_factor(top, lam, mu, nu, m)
-    if levels is None:
-        assert _level_factor(top, lam, mu, nu, cut).is_one(), (
-            f"box weight cutoff unstable at box ({i}, {j}) of {pi!r}"
-        )
-    return BoxWeight((i, j), out)
+    if levels is None and not _level_factor(top, lam, mu, nu, cut).is_one():
+        raise RuntimeError(f"box weight cutoff unstable at box ({i}, {j}) of {pi!r}")
+    return out
 
 
 def vuletic_weight(pi: PlanePartition) -> FactorProduct:
     """Product of the box weights over the support; 1 for the empty partition."""
     out = FactorProduct.one()
     for i, j in pi.support():
-        out = out * box_weight(pi, i, j).factor
+        out = out * box_weight(pi, i, j)
     return out
 
 

@@ -35,6 +35,18 @@ def test_verify_macmahon(capsys):
     assert report["payload"]["enumerated"] == [1, 1, 3, 6, 13, 24, 48]
 
 
+def test_verify_macmahon_beyond_known_counts(capsys):
+    # the known-count table stops at order 8; enumeration and expansion still agree
+    code, out = _run(capsys, ["verify", "macmahon", "--s-order", "12"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "match"
+    payload = report["payload"]
+    assert sorted(payload) == ["enumerated", "expanded", "match", "name", "order"]
+    assert payload["enumerated"] == payload["expanded"]
+    assert payload["enumerated"][9:] == [282, 500, 859, 1479]
+
+
 def test_verify_vuletic_small(capsys):
     code, out = _run(capsys, ["verify", "vuletic", "--s-order", "3", "--q-order", "3", "--t-order", "3"])
     assert code == 0
@@ -120,6 +132,18 @@ def test_count_points_chain_with_h(capsys):
 def test_count_points_budget_refusal(capsys):
     code, out = _run(capsys, ["count-points", "--grid", "[[3,3],[3,3]]", "--p", "2"])
     assert code == 3
+    assert json.loads(out)["outcome"] == "error"
+
+
+def test_count_points_nonpositive_budget_is_usage_error(capsys):
+    code, out = _run(capsys, ["count-points", "--grid", "[[1]]", "--p", "2", "--budget", "-5"])
+    assert code == 2
+    assert "budget" in json.loads(out)["error"]
+
+
+def test_enumerate_negative_max_entry_is_usage_error(capsys):
+    code, out = _run(capsys, ["enumerate", "pp", "--n", "3", "--max-entry", "-2"])
+    assert code == 2
     assert json.loads(out)["outcome"] == "error"
 
 

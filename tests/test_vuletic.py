@@ -1,5 +1,6 @@
 import pytest
 
+from macmahon import vuletic
 from macmahon.partitions import PlanePartition, diagonal_partitions, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncationProfile, q_factorial
 from macmahon.vuletic import (
@@ -36,14 +37,11 @@ def test_little_f_rejects_negative():
 
 
 def test_box_weight_single_box():
-    bw = box_weight(PlanePartition([[1]]), 0, 0)
-    assert bw.box == (0, 0)
-    assert bw.factor == little_f(1, 0)
+    assert box_weight(PlanePartition([[1]]), 0, 0) == little_f(1, 0)
 
 
 def test_box_weight_row_end():
-    bw = box_weight(PlanePartition([[1, 1]]), 0, 1)
-    assert bw.factor == little_f(1, 0)
+    assert box_weight(PlanePartition([[1, 1]]), 0, 1) == little_f(1, 0)
 
 
 def test_box_weight_outside_support():
@@ -59,8 +57,22 @@ def test_cutoff_is_stable():
                 lam, mu, nu = diagonal_partitions(pi, i, j)
                 cut = max(len(lam), len(mu), len(nu))
                 auto = box_weight(pi, i, j)
-                assert box_weight(pi, i, j, levels=cut + 1).factor == auto.factor
+                assert box_weight(pi, i, j, levels=cut + 1) == auto
                 assert _level_factor(pi.entry(i, j), lam, mu, nu, cut).is_one()
+
+
+def test_unstable_cutoff_raises(monkeypatch):
+    # a level past the cutoff that is not the identity is refused, also under -O
+    real = vuletic._level_factor
+
+    def perturbed(top, lam, mu, nu, m):
+        out = real(top, lam, mu, nu, m)
+        return out * FactorProduct.from_factor({"q": 1}) if m == 1 else out
+
+    monkeypatch.setattr(vuletic, "_level_factor", perturbed)
+    assert box_weight(PlanePartition([[1]]), 0, 0, levels=1) == little_f(1, 0)
+    with pytest.raises(RuntimeError, match="cutoff unstable"):
+        box_weight(PlanePartition([[1]]), 0, 0)
 
 
 def test_weight_of_empty_partition():
