@@ -14,6 +14,7 @@ from .fforacle import (
     chain_entry_count,
     count_chain_points,
     grid_entry_count,
+    oracle_json,
     oracle_vs_class,
     surjective_h_choices,
 )
@@ -184,7 +185,7 @@ def check_oracle(
                 rep = oracle_vs_class(inst, p)
                 grid_checked += 1
                 if not rep["match"]:
-                    failures.append(rep)
+                    failures.append(oracle_json(rep))
 
     for mu, nu in _chain_domain(max_top):
         entries = chain_entry_count(mu, nu)
@@ -195,7 +196,7 @@ def check_oracle(
             rep = oracle_vs_class(ChainInstance(mu, nu, budget=budget), p)
             chain_checked += 1
             if not rep["match"]:
-                failures.append(rep)
+                failures.append(oracle_json(rep))
                 continue
             if len(mu) == 2:
                 base = rep["count"]
@@ -206,7 +207,7 @@ def check_oracle(
                         failures.append(
                             {"kind": "chain-h", "mu": list(mu), "nu": list(nu),
                              "p": p, "h": [list(r) for r in h],
-                             "count": alt, "expected": base, "match": False}
+                             "count": str(alt), "expected": str(base), "match": False}
                         )
     return {
         "name": "oracle",

@@ -21,6 +21,7 @@ from .fforacle import (
     ChainInstance,
     DEFAULT_BUDGET,
     GridInstance,
+    oracle_json,
     oracle_vs_class,
 )
 from .motivic import (
@@ -48,20 +49,11 @@ def _poly_payload(poly: dict[int, int]) -> list[list]:
     return [[d, str(poly[d])] for d in sorted(poly)]
 
 
-# Unbounded integer values ride as decimal strings so no consumer can lose
-# precision; structural integers (orders, ranks, exponents, degrees) stay.
-_BIG_KEYS = frozenset({"count", "predicted", "expected"})
-
-
-def _jsonable(obj, key: str | None = None):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if key in _BIG_KEYS else obj
+def _jsonable(obj):
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v, str(k)) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v, key) for v in obj]
+        return [_jsonable(v) for v in obj]
     return obj
 
 
@@ -97,7 +89,10 @@ def _parse_partition(text: str) -> PlanePartition:
 
 
 def _parse_tuple(text: str) -> DiagramTuple:
-    return DiagramTuple([YoungDiagram(rows) for rows in json.loads(text)])
+    diagrams = json.loads(text)
+    if not isinstance(diagrams, list):
+        raise ValueError(f"expected a list of Young diagrams, got {diagrams!r}")
+    return DiagramTuple([YoungDiagram(rows) for rows in diagrams])
 
 
 def _run_enumerate(args) -> tuple[int, dict]:
@@ -184,19 +179,14 @@ def _run_count_points(args) -> tuple[int, dict]:
     else:
         if args.chain_mu is None or args.chain_nu is None:
             raise ValueError("count-points needs --grid or both --chain-mu and --chain-nu")
-        h = None
-        if args.chain_h is not None:
-            h = (tuple(tuple(int(v) for v in row) for row in json.loads(args.chain_h)),)
+        h = None if args.chain_h is None else (json.loads(args.chain_h),)
         inst = ChainInstance(
-            tuple(json.loads(args.chain_mu)),
-            tuple(json.loads(args.chain_nu)),
-            h,
-            budget=args.budget,
+            json.loads(args.chain_mu), json.loads(args.chain_nu), h, budget=args.budget
         )
     report = oracle_vs_class(inst, args.p)
     outcome = "match" if report["match"] else "mismatch"
     code = EXIT_OK if report["match"] else EXIT_MISMATCH
-    return code, {"outcome": outcome, "payload": report}
+    return code, {"outcome": outcome, "payload": oracle_json(report)}
 
 
 def _run_all(args) -> tuple[int, dict]:

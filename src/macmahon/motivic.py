@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .partitions import PlanePartition, chi, enumerate_plane_partitions
+from .partitions import PlanePartition, chi, enumerate_plane_partitions, exact_ints
 from .series import (
     FactorProduct,
     NotPolynomialError,
@@ -97,8 +97,8 @@ def limit_class(pi: PlanePartition) -> MotivicClass:
 
 
 def _normalize_chain(mu: Sequence[int], nu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    mu_t = tuple(int(v) for v in mu)
-    nu_t = tuple(int(v) for v in nu)
+    mu_t = tuple(exact_ints(mu))
+    nu_t = tuple(exact_ints(nu))
     if not mu_t:
         raise ValueError("chain needs at least one stage")
     if len(nu_t) > len(mu_t):

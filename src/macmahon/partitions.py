@@ -11,13 +11,25 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 
+def exact_ints(values) -> list[int]:
+    """The entries of a list or tuple of ints, as a new list. Input is never
+    coerced: an entry 1.5 or True, or a dict in place of the list, is a
+    ValueError."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of integers, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"expected an integer, got {v!r}")
+    return list(values)
+
+
 class YoungDiagram:
     """Weakly decreasing finite sequence of positive row lengths."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[int] = ()):
-        cleaned = [int(v) for v in rows]
+        cleaned = exact_ints(rows)
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         for a, b in zip(cleaned, cleaned[1:]):
@@ -88,9 +100,11 @@ class PlanePartition:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]] = ()):
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"expected a list of rows, got {rows!r}")
         trimmed: list[tuple[int, ...]] = []
         for raw in rows:
-            row = [int(v) for v in raw]
+            row = exact_ints(raw)
             while row and row[-1] == 0:
                 row.pop()
             trimmed.append(tuple(row))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_enumerate_pp(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["outcome"] == "ok"
-    assert report["payload"]["count"] == "3"
+    assert report["payload"]["count"] == 3
     assert report["payload"]["partitions"] == [[[2]], [[1, 1]], [[1], [1]]]
 
 
@@ -24,7 +25,7 @@ def test_enumerate_with_max_entry(capsys):
     code, out = _run(capsys, ["enumerate", "pp", "--n", "4", "--max-entry", "1"])
     assert code == 0
     report = json.loads(out)
-    assert report["payload"]["count"] == "5"
+    assert report["payload"]["count"] == 5
 
 
 def test_verify_macmahon(capsys):
@@ -139,6 +140,42 @@ def test_count_points_nonpositive_budget_is_usage_error(capsys):
     code, out = _run(capsys, ["count-points", "--grid", "[[1]]", "--p", "2", "--budget", "-5"])
     assert code == 2
     assert "budget" in json.loads(out)["error"]
+
+
+def test_count_points_huge_field_refused_fast(capsys):
+    # one free entry: p^1 tuples; no free entry: isqrt(p) trial divisions
+    for nu in ("[1]", "[0]"):
+        started = time.perf_counter()
+        code, out = _run(
+            capsys, ["count-points", "--chain-mu", "[1]", "--chain-nu", nu, "--p", str(10**18 + 3)]
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "budget" in json.loads(out)["error"]
+
+
+def test_count_points_composite_field_is_usage_error(capsys):
+    for argv in (["--grid", "[[1,1]]", "--p", "4"], ["--grid", "[]", "--p", "1000000"]):
+        code, out = _run(capsys, ["count-points", *argv])
+        assert code == 2
+        assert "prime" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-points", "--grid", "[[1.5]]", "--p", "2"],
+        ["tangent", "--tuple", "[[1.7]]"],
+        ["tangent", "--tuple", "5"],
+        ["count-points", "--chain-mu", "[true]", "--chain-nu", "[1]", "--p", "2"],
+        ["count-points", "--grid", "{}", "--p", "2"],
+        ["count-points", "--chain-mu", "[2,2]", "--chain-nu", "[2,1]", "--chain-h", "[[0,1.0]]", "--p", "2"],
+    ],
+)
+def test_non_integer_input_is_usage_error(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["outcome"] == "error"
 
 
 def test_enumerate_negative_max_entry_is_usage_error(capsys):

@@ -1,5 +1,10 @@
-import pytest
+from itertools import product as iproduct
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macmahon import fforacle
 from macmahon.fforacle import (
     BudgetExceededError,
     ChainInstance,
@@ -82,6 +87,10 @@ def test_non_surjective_h_rejected():
         count_chain_points(ChainInstance((2, 2), (2, 1), (zero_h,)), 2)
     with pytest.raises(ValueError):
         count_chain_points(ChainInstance((2, 2), (2, 1), ((0,),)), 2)  # wrong shape
+    with pytest.raises(ValueError):
+        count_chain_points(ChainInstance((2, 2), (2, 1), (((1.0, 0),),)), 2)  # not an int
+    with pytest.raises(ValueError):
+        count_chain_points(ChainInstance((2, 2), (2, 1), (((True, 0),),)), 2)
 
 
 def test_entry_counts():
@@ -185,3 +194,88 @@ def test_bucketed_count_equals_naive_odometer():
                     mu, nu, [] if h is None else [h], p
                 )
                 assert count_chain_points(inst, p) == expected, (mu, nu, p, h)
+
+
+RAW_LIMIT = 50_000  # tuples the naive odometer visits per instance
+
+
+def _decreasing(dims) -> bool:
+    return list(dims) == sorted(dims, reverse=True)
+
+
+# every chain shape with 1-3 stages and dimensions <= 3, zero stages included
+CHAIN_SHAPES = [
+    (mu, nu)
+    for k in (1, 2, 3)
+    for mu in iproduct(range(4), repeat=k)
+    if _decreasing(mu)
+    for nu in iproduct(range(4), repeat=k)
+    if _decreasing(nu) and all(v <= m for v, m in zip(nu, mu))
+]
+
+
+@st.composite
+def chain_instances(draw):
+    """A chain shape whose raw search space fits RAW_LIMIT at p in {2, 3, 5},
+    with a random surjective intertwining map at each stage boundary."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    shapes = [s for s in CHAIN_SHAPES if p ** chain_entry_count(*s) <= RAW_LIMIT]
+    mu, nu = draw(st.sampled_from(shapes))
+    k = len(mu)
+    h = []
+    for i in range(k - 1):
+        rows, cols = nu[i + 1], nu[i]
+        entries = st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)
+        flat = draw(
+            entries.map(lambda e: tuple(tuple(e[r * cols : (r + 1) * cols]) for r in range(rows)))
+            .filter(lambda m: is_surjective(m, p))
+        )
+        h.append(flat)
+    return tuple(mu), tuple(nu), tuple(h), p
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain_instances())
+def test_staged_count_equals_naive_odometer(case):
+    mu, nu, h, p = case
+    assert p ** chain_entry_count(mu, nu) <= RAW_LIMIT
+    inst = ChainInstance(mu, nu, h if len(mu) > 1 else None)
+    assert count_chain_points(inst, p) == _naive_chain_count(mu, nu, list(h), p)
+
+
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_transfer_across_chunk_boundaries(monkeypatch, chunk):
+    # one f per chunk; then 5 per chunk against the 8 surjective g and the
+    # 48 invertible f of the first case, so its last chunk is partial
+    monkeypatch.setattr(fforacle, "_CHUNK_KEYS", chunk)
+    for mu, nu, p in [((2, 2), (1, 1), 3), ((3, 2), (2, 1), 2), ((2, 1, 1), (1, 1, 1), 3)]:
+        count = count_chain_points(ChainInstance(mu, nu), p)
+        assert count == surjective_chain_class(mu, nu).evaluate(p)
+
+
+def test_transfer_over_many_default_chunks():
+    # 26 surjective g times 11232 invertible f over F_3: nine chunks of keys
+    g = len(surjective_h_choices(1, 3, 3))
+    f = len(surjective_h_choices(3, 3, 3))
+    assert g * f > 8 * fforacle._CHUNK_KEYS
+    count = count_chain_points(ChainInstance((3, 3), (1, 1)), 3)
+    assert count == surjective_chain_class((3, 3), (1, 1)).evaluate(3)
+
+
+def test_memoized_spaces_are_read_only():
+    mats = fforacle._surjective_space(2, 2, 3)
+    assert not mats.flags.writeable
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 2
+    assert fforacle._surjective_space(2, 2, 3) is mats
+    assert surjective_h_choices(2, 2, 3) == [tuple(map(tuple, m)) for m in mats.tolist()]
+
+
+def test_oversized_stage_refused(monkeypatch):
+    fforacle._surjective_space.cache_clear()
+    monkeypatch.setattr(fforacle, "_TABLE_LIMIT", 8)
+    try:
+        with pytest.raises(BudgetExceededError):
+            count_chain_points(ChainInstance((2, 1), (1, 1)), 5)
+    finally:
+        fforacle._surjective_space.cache_clear()
