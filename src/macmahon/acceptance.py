@@ -1,8 +1,8 @@
 """Desk-scale verification checks bundling every identity in the package.
 
-Each check returns a report dict with a boolean "match" and enough payload
-to diagnose a failure. The test suite and the command-line `all` subcommand
-both run these.
+Each check returns a report dict, ready for JSON, with a boolean "match" and
+enough payload to diagnose a failure. The test suite and the command-line
+`all` subcommand both run these.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .motivic import (
     fixed_component_class,
     limit_class_check,
     limit_series_check,
+    poly_json,
     refined_macmahon_check,
 )
 from .partitions import (
@@ -129,7 +130,7 @@ def check_tangent(r_max: int = 3, n_max: int = 5) -> dict:
                 character = tangent_character(tup)
                 ok = character.size() == 2 * r * n
                 pi = partition_of_tuple(tup)
-                counts = [positive_weight_count(tup, a) for a in alphas]
+                counts = [positive_weight_count(character, a) for a in alphas]
                 ok = ok and counts[0] == attracting_dimension(pi, r)
                 ok = ok and all(c == counts[0] for c in counts)
                 ok = ok and all(
@@ -231,7 +232,9 @@ def check_class_structure(r_max: int = 4, max_weight: int = 5) -> dict:
                 checked += 1
                 poly = fixed_component_class(r, pi).polynomial()
                 if poly.get(0, 0) != 1 or any(c < 0 for c in poly.values()):
-                    failures.append({"r": r, "partition": pi.to_lists(), "poly": poly})
+                    failures.append(
+                        {"r": r, "partition": pi.to_lists(), "poly": poly_json(poly)}
+                    )
     return {
         "name": "class-structure",
         "num_classes": checked,

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from . import acceptance
+from . import acceptance, motivic
 from .fforacle import (
     BudgetExceededError,
     ChainInstance,
@@ -24,12 +24,7 @@ from .fforacle import (
     oracle_json,
     oracle_vs_class,
 )
-from .motivic import (
-    bb_identity_check,
-    fixed_component_class,
-    limit_series_check,
-    refined_macmahon_check,
-)
+from .motivic import fixed_component_class, poly_json
 from .partitions import (
     DiagramTuple,
     PlanePartition,
@@ -45,34 +40,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _poly_payload(poly: dict[int, int]) -> list[list]:
-    return [[d, str(poly[d])] for d in sorted(poly)]
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _difference_payload(diff) -> dict:
-    vec, left, right = diff
-    exponents = list(vec) if isinstance(vec, (tuple, list)) else [vec]
-    return {"exponents": exponents, "lhs": str(left), "rhs": str(right)}
-
-
-def _check_payload(report: dict) -> dict:
-    payload = dict(report)
-    for key in ("lhs", "rhs"):
-        if key in payload and isinstance(payload[key], dict):
-            payload[key] = _poly_payload(payload[key])
-    if isinstance(payload.get("first_difference"), tuple):
-        payload["first_difference"] = _difference_payload(payload["first_difference"])
-    if "cases" in payload:
-        payload["cases"] = [_check_payload(c) for c in payload["cases"]]
-    return payload
+def _verdict(match: bool, payload: dict) -> tuple[int, dict]:
+    outcome = "match" if match else "mismatch"
+    return (EXIT_OK if match else EXIT_MISMATCH), {"outcome": outcome, "payload": payload}
 
 
 def _parse_rank(text: str) -> int | None:
@@ -104,27 +74,30 @@ def _run_enumerate(args) -> tuple[int, dict]:
     return EXIT_OK, {"outcome": "ok", "payload": payload}
 
 
+# (type, default) of every flag a `verify` target may read
+_FLAGS = {
+    "s_order": (int, 4), "q_order": (int, 6), "t_order": (int, 4), "l_order": (int, 8),
+    "max_weight": (int, 4), "r": (_parse_rank, 1), "n": (int, 3),
+}
+
+# target -> (module, check, the flags it reads in its positional order); the
+# check is looked up in its module on each call, never held from import time
+VERIFY = {
+    "macmahon": (acceptance, "check_macmahon_baseline", ("s_order",)),
+    "vuletic": (acceptance, "check_vuletic", ("s_order", "q_order", "t_order")),
+    "limit-class": (acceptance, "check_limit_class", ("max_weight", "l_order")),
+    "refined-macmahon": (motivic, "refined_macmahon_check", ("r", "t_order", "q_order")),
+    "limit-series": (motivic, "limit_series_check", ("t_order", "l_order")),
+    "bb": (motivic, "bb_identity_check", ("r", "n")),
+}
+
+
 def _run_verify(args) -> tuple[int, dict]:
-    target = args.target
-    if target == "macmahon":
-        report = acceptance.check_macmahon_baseline(args.s_order)
-    elif target == "vuletic":
-        report = acceptance.check_vuletic(args.s_order, args.q_order, args.t_order)
-    elif target == "limit-class":
-        report = acceptance.check_limit_class(args.max_weight, args.l_order)
-    elif target == "refined-macmahon":
-        report = refined_macmahon_check(args.r, args.t_order, args.q_order)
-    elif target == "limit-series":
-        report = limit_series_check(args.t_order, args.l_order)
-    elif target == "bb":
-        if args.r is None:
-            raise ValueError("bb verification needs a finite rank")
-        report = bb_identity_check(args.r, args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verification target {target!r}")
-    outcome = "match" if report["match"] else "mismatch"
-    code = EXIT_OK if report["match"] else EXIT_MISMATCH
-    return code, {"outcome": outcome, "payload": _check_payload(report)}
+    module, check, flags = VERIFY[args.target]
+    report = getattr(module, check)(*(getattr(args, flag) for flag in flags))
+    if args.target == "bb":  # exact polynomials in L, kept as dicts by the check
+        report = {**report, "lhs": poly_json(report["lhs"]), "rhs": poly_json(report["rhs"])}
+    return _verdict(report["match"], report)
 
 
 def _run_classes(args) -> tuple[int, dict]:
@@ -136,7 +109,7 @@ def _run_classes(args) -> tuple[int, dict]:
         rows.append(
             {
                 "partition": pi.to_lists(),
-                "class": _poly_payload(poly),
+                "class": poly_json(poly),
                 "d_plus": attracting_dimension(pi, args.r),
                 "chi": chi(pi),
             }
@@ -163,10 +136,9 @@ def _run_tangent(args) -> tuple[int, dict]:
         "size": character.size(),
         "expected_size": 2 * r * n,
         "size_ok": size_ok,
-        "d_plus": positive_weight_count(tup, alpha),
+        "d_plus": positive_weight_count(character, alpha),
     }
-    outcome = "match" if size_ok else "mismatch"
-    return (EXIT_OK if size_ok else EXIT_MISMATCH), {"outcome": outcome, "payload": payload}
+    return _verdict(size_ok, payload)
 
 
 def _run_count_points(args) -> tuple[int, dict]:
@@ -184,19 +156,12 @@ def _run_count_points(args) -> tuple[int, dict]:
             json.loads(args.chain_mu), json.loads(args.chain_nu), h, budget=args.budget
         )
     report = oracle_vs_class(inst, args.p)
-    outcome = "match" if report["match"] else "mismatch"
-    code = EXIT_OK if report["match"] else EXIT_MISMATCH
-    return code, {"outcome": outcome, "payload": oracle_json(report)}
+    return _verdict(report["match"], oracle_json(report))
 
 
 def _run_all(args) -> tuple[int, dict]:
     checks = acceptance.run_all()
-    ok = all(c["match"] for c in checks)
-    payload = {"checks": [_check_payload(c) for c in checks]}
-    return (EXIT_OK if ok else EXIT_MISMATCH), {
-        "outcome": "match" if ok else "mismatch",
-        "payload": payload,
-    }
+    return _verdict(all(c["match"] for c in checks), {"checks": checks})
 
 
 def _format_table(report: dict) -> str:
@@ -264,17 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(runner=_run_enumerate)
 
     verify = sub.add_parser("verify", parents=[common], help="verify an identity at given orders")
-    verify.add_argument(
-        "target",
-        choices=("vuletic", "macmahon", "limit-class", "refined-macmahon", "limit-series", "bb"),
-    )
-    verify.add_argument("--s-order", type=int, default=4)
-    verify.add_argument("--t-order", type=int, default=4)
-    verify.add_argument("--q-order", type=int, default=6)
-    verify.add_argument("--l-order", type=int, default=8)
-    verify.add_argument("--max-weight", type=int, default=4)
-    verify.add_argument("--r", type=_parse_rank, default=1)
-    verify.add_argument("--n", type=int, default=3)
+    targets = verify.add_subparsers(dest="target", required=True)
+    for target, (_, _, flags) in VERIFY.items():
+        target_parser = targets.add_parser(target, parents=[common])
+        for flag in flags:
+            kind, default = _FLAGS[flag]
+            target_parser.add_argument("--" + flag.replace("_", "-"), type=kind, default=default)
     verify.set_defaults(runner=_run_verify)
 
     classes = sub.add_parser(
@@ -303,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     allcmd = sub.add_parser(
         "all", parents=[common], help="run the full desk-scale verification suite"
     )
-    allcmd.add_argument("--desk-scale", action="store_true", default=True)
     allcmd.set_defaults(runner=_run_all)
 
     return parser
@@ -333,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if args.format == "json":
         sys.stdout.write(
-            json.dumps(_jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"
+            json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         )
     elif args.format == "table":
         sys.stdout.write(_format_table(report))

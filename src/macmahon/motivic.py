@@ -63,6 +63,11 @@ class MotivicClass:
         return f"MotivicClass({self.factors!r})"
 
 
+def poly_json(poly: dict[int, int]) -> list[list]:
+    """{degree: coeff} as [[degree, "coeff"]] pairs by degree, ready for JSON."""
+    return [[d, str(poly[d])] for d in sorted(poly)]
+
+
 def _box_factorial_ratio(pi: PlanePartition, var: str = "L") -> FactorProduct:
     # prod over boxes of [a - diag]! / ([a - below]! [a - right]!) with
     # a = pi[i,j]; boxes outside the support contribute 1.
@@ -198,6 +203,8 @@ def bb_identity_check(r: int, n: int) -> dict:
     Both sides are exact polynomials in L; the report carries them and the
     first differing coefficient on mismatch.
     """
+    if r is None:
+        raise ValueError("bb verification needs a finite rank")
     lhs = moduli_space_class(r, n)
     rhs: dict[int, int] = {}
     components = 0
@@ -221,7 +228,8 @@ def bb_identity_check(r: int, n: int) -> dict:
     }
     if not report["match"]:
         degree = min(d for d in set(lhs) | set(rhs) if lhs.get(d, 0) != rhs.get(d, 0))
-        report["first_difference"] = (degree, lhs.get(degree, 0), rhs.get(degree, 0))
+        left, right = lhs.get(degree, 0), rhs.get(degree, 0)
+        report["first_difference"] = {"exponents": [degree], "lhs": str(left), "rhs": str(right)}
     return report
 
 

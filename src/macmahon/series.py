@@ -194,17 +194,17 @@ class TruncatedSeries:
         """Sorted (exponent vector, coefficient) pairs; deterministic."""
         return sorted(self.coeffs.items())
 
-    def first_difference(
-        self, other: TruncatedSeries
-    ) -> tuple[tuple[int, ...], int, int] | None:
-        """Smallest exponent vector where the two series disagree."""
+    def first_difference(self, other: TruncatedSeries) -> dict | None:
+        """Smallest exponent vector where the two series disagree, ready for
+        JSON: {"exponents": [...], "lhs": decimal string, "rhs": ...}."""
         self._require_same(other)
         diff = [k for k in set(self.coeffs) | set(other.coeffs)
                 if self.coeffs.get(k, 0) != other.coeffs.get(k, 0)]
         if not diff:
             return None
         vec = min(diff)
-        return vec, self.coeffs.get(vec, 0), other.coeffs.get(vec, 0)
+        left, right = self.coeffs.get(vec, 0), other.coeffs.get(vec, 0)
+        return {"exponents": list(vec), "lhs": str(left), "rhs": str(right)}
 
     def to_json_dict(self) -> list[dict]:
         """Sorted [{exponents: {var: int}, coeff: decimal string}] terms."""

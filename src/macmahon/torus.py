@@ -59,7 +59,7 @@ def tangent_character(tup: DiagramTuple) -> TangentCharacter:
     return TangentCharacter(terms)
 
 
-def positive_weight_count(tup: DiagramTuple, alpha: int) -> int:
+def positive_weight_count(character: TangentCharacter, alpha: int) -> int:
     """Number of tangent weights with k1 + alpha * k2 > 0.
 
     The framing directions carry no pairing: terms are classified purely by
@@ -68,7 +68,6 @@ def positive_weight_count(tup: DiagramTuple, alpha: int) -> int:
     """
     if alpha < 1:
         raise ValueError("alpha must be positive")
-    character = tangent_character(tup)
     return sum(
         mult for (_, _, k1, k2), mult in character.terms.items() if k1 + alpha * k2 > 0
     )

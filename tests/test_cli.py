@@ -1,9 +1,40 @@
+import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
+from macmahon import acceptance, cli, motivic
 from macmahon.cli import main
+from macmahon.series import FactorProduct
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# every verify target: its check's module and name, and the flags it reads
+# in the check's positional order, with their defaults
+VERIFY = {
+    "macmahon": (acceptance, "check_macmahon_baseline", {"s_order": 4}),
+    "vuletic": (acceptance, "check_vuletic", {"s_order": 4, "q_order": 6, "t_order": 4}),
+    "limit-class": (acceptance, "check_limit_class", {"max_weight": 4, "l_order": 8}),
+    "refined-macmahon": (motivic, "refined_macmahon_check", {"r": 1, "t_order": 4, "q_order": 6}),
+    "limit-series": (motivic, "limit_series_check", {"t_order": 4, "l_order": 8}),
+    "bb": (motivic, "bb_identity_check", {"r": 1, "n": 3}),
+}
+VERIFY_FLAGS = sorted({flag for _, _, flags in VERIFY.values() for flag in flags})
+
+CHECKS = [
+    "check_macmahon_baseline",
+    "check_vuletic",
+    "check_limit_class",
+    "check_refined_macmahon",
+    "check_limit_series",
+    "check_bb",
+    "check_tangent",
+    "check_oracle",
+    "check_class_structure",
+]
 
 
 def _run(capsys, argv):
@@ -209,8 +240,8 @@ def test_table_format(capsys):
     assert "match\tTrue" in out
 
 
-def test_all_desk_scale(capsys):
-    code, out = _run(capsys, ["all", "--desk-scale"])
+def test_all(capsys):
+    code, out = _run(capsys, ["all"])
     assert code == 0
     report = json.loads(out)
     assert report["outcome"] == "match"
@@ -227,3 +258,110 @@ def test_all_desk_scale(capsys):
         "class-structure",
     ]
     assert all(c["match"] for c in report["payload"]["checks"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e53dd0b737aed2cd1412068308658985e4ce1e86338ec874eefa66aa01e5fff0"
+    )
+
+
+def test_all_takes_no_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--desk-scale"])
+    assert exc.value.code == 2
+
+
+def test_all_calls_each_check_once_in_order(capsys, monkeypatch):
+    calls = []
+    for name in CHECKS:
+        def stub(_name=name):
+            calls.append(_name)
+            return {"name": _name, "match": True}
+
+        monkeypatch.setattr(acceptance, name, stub)
+    code, out = _run(capsys, ["all"])
+    assert code == 0
+    assert calls == CHECKS
+    assert [c["name"] for c in json.loads(out)["payload"]["checks"]] == CHECKS
+
+
+def test_verify_table_matches_cli():
+    assert {t: (m, c, tuple(f)) for t, (m, c, f) in VERIFY.items()} == cli.VERIFY
+    assert sum(len(flags) for _, _, flags in VERIFY.values()) == 13
+
+
+@pytest.mark.parametrize("target", VERIFY)
+def test_verify_target_defaults(capsys, target):
+    code, out = _run(capsys, ["verify", target])
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "match"
+    assert report["parameters"] == {"command": "verify", "target": target, **VERIFY[target][2]}
+
+
+@pytest.mark.parametrize(
+    "target, flag",
+    [(t, f) for t, (_, _, flags) in VERIFY.items() for f in VERIFY_FLAGS if f not in flags],
+)
+def test_verify_rejects_foreign_flag(capsys, target, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", target, "--" + flag.replace("_", "-"), "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("target", VERIFY)
+def test_verify_calls_patched_module_attribute(capsys, monkeypatch, target):
+    module, check, flags = VERIFY[target]
+    seen = []
+
+    def stub(*args):
+        seen.append(args)
+        return {"match": False, "lhs": {}, "rhs": {}}
+
+    monkeypatch.setattr(module, check, stub)
+    code, out = _run(capsys, ["verify", target])
+    assert code == 1
+    assert seen == [tuple(flags.values())]
+    assert json.loads(out)["outcome"] == "mismatch"
+
+
+def test_verify_vuletic_mismatch_reports_first_difference(capsys, monkeypatch):
+    rhs = acceptance.vuletic_rhs
+    extra = FactorProduct.monomial({"s": 1, "q": 2})
+    monkeypatch.setattr(
+        acceptance, "vuletic_rhs", lambda s, profile: rhs(s, profile) + extra.expand(profile)
+    )
+    code, out = _run(capsys, ["verify", "vuletic"])
+    assert code == 1
+    assert json.loads(out)["outcome"] == "mismatch"
+    assert '"first_difference":{"exponents":[2,0,1],"lhs":"1","rhs":"2"}' in out
+
+
+def test_verify_bb_mismatch_reports_first_difference(capsys, monkeypatch):
+    lhs = motivic.moduli_space_class
+    monkeypatch.setattr(motivic, "moduli_space_class", lambda r, n: {**lhs(r, n), 0: 7})
+    code, out = _run(capsys, ["verify", "bb"])
+    assert code == 1
+    assert json.loads(out)["outcome"] == "mismatch"
+    assert '"first_difference":{"exponents":[0],"lhs":"7","rhs":"0"}' in out
+    assert '"lhs":[[0,"7"],[4,"1"],[5,"1"],[6,"1"]]' in out
+
+
+def test_verify_bb_infinite_rank_is_usage_error(capsys):
+    code, out = _run(capsys, ["verify", "bb", "--r", "inf"])
+    assert code == 2
+    assert json.loads(out)["error"] == "bb verification needs a finite rank"
+
+
+def test_readme_command_lines(capsys):
+    # `macmahon all` is left to test_all
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("macmahon ")
+    ]
+    assert ["all"] in commands
+    commands = [argv for argv in commands if argv != ["all"]]
+    assert {argv[1] for argv in commands if argv[0] == "verify"} == set(VERIFY)
+    for argv in commands:
+        assert _run(capsys, argv)[0] == 0, argv

@@ -135,6 +135,11 @@ def test_bb_identity_small():
             assert bb_identity_check(r, n)["match"]
 
 
+def test_bb_identity_needs_finite_rank():
+    with pytest.raises(ValueError, match="bb verification needs a finite rank"):
+        bb_identity_check(None, 3)
+
+
 def test_refined_macmahon_first_coefficient():
     lhs = refined_macmahon_lhs(1, 3, 6)
     # t^1 coefficient collapses to q

@@ -52,7 +52,7 @@ def test_trivial_weights_rejected():
 
 
 def test_positive_count_single_box():
-    assert positive_weight_count(DiagramTuple([YoungDiagram([1])]), 3) == 2
+    assert positive_weight_count(tangent_character(DiagramTuple([YoungDiagram([1])])), 3) == 2
 
 
 def test_positive_count_matches_closed_form():
@@ -61,7 +61,7 @@ def test_positive_count_matches_closed_form():
             for tup in enumerate_diagram_tuples(r, n):
                 pi = partition_of_tuple(tup)
                 expected = r * n + chi(pi)
-                assert positive_weight_count(tup, n + 2) == expected
+                assert positive_weight_count(tangent_character(tup), n + 2) == expected
                 assert expected == attracting_dimension(pi, r)
 
 
@@ -69,7 +69,8 @@ def test_alpha_stability():
     for r in (1, 2):
         for n in range(5):
             for tup in enumerate_diagram_tuples(r, n):
-                counts = {positive_weight_count(tup, a) for a in range(n + 2, 2 * n + 5)}
+                character = tangent_character(tup)
+                counts = {positive_weight_count(character, a) for a in range(n + 2, 2 * n + 5)}
                 assert len(counts) == 1
 
 
@@ -100,4 +101,4 @@ def test_attracting_dimension_validation():
     with pytest.raises(ValueError):
         attracting_dimension(PlanePartition([[1]]), 0)
     with pytest.raises(ValueError):
-        positive_weight_count(DiagramTuple([YoungDiagram([1])]), 0)
+        positive_weight_count(tangent_character(DiagramTuple([YoungDiagram([1])])), 0)
