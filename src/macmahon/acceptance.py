@@ -21,6 +21,7 @@ from .fforacle import (
 from .motivic import (
     bb_identity_check,
     fixed_component_class,
+    identity_report,
     limit_class_check,
     limit_series_check,
     poly_json,
@@ -63,27 +64,20 @@ def check_macmahon_baseline(order: int = 8) -> dict:
 def check_vuletic(s_order: int = 6, q_order: int = 6, t_order: int = 6) -> dict:
     """Coefficient-exact equality of the weighted sum and the double product."""
     profile = TruncationProfile(s=s_order, q=q_order, t=t_order)
-    lhs = vuletic_lhs(s_order, profile)
-    rhs = vuletic_rhs(s_order, profile)
-    num_partitions = sum(
-        1 for w in range(s_order + 1) for _ in enumerate_plane_partitions(w)
+    return identity_report(
+        vuletic_lhs(s_order, profile),
+        vuletic_rhs(s_order, profile),
+        name="vuletic",
+        orders={"s": s_order, "q": q_order, "t": t_order},
+        num_partitions=sum(
+            1 for w in range(s_order + 1) for _ in enumerate_plane_partitions(w)
+        ),
     )
-    report = {
-        "name": "vuletic",
-        "orders": {"s": s_order, "q": q_order, "t": t_order},
-        "num_partitions": num_partitions,
-        "match": lhs == rhs,
-    }
-    if not report["match"]:
-        report["first_difference"] = lhs.first_difference(rhs)
-    return report
 
 
 def check_limit_class(max_weight: int = 5, l_order: int = 20) -> dict:
     """The t = 0 weight of every small partition equals its limit class."""
-    report = limit_class_check(max_weight, l_order)
-    report["name"] = "limit-class"
-    return report
+    return {**limit_class_check(max_weight, l_order), "name": "limit-class"}
 
 
 def check_refined_macmahon() -> dict:
@@ -102,16 +96,15 @@ def check_refined_macmahon() -> dict:
 
 
 def check_limit_series(t_order: int = 6, l_order: int = 10) -> dict:
-    report = limit_series_check(t_order, l_order)
-    report["name"] = "limit-series"
-    return report
+    return {**limit_series_check(t_order, l_order), "name": "limit-series"}
 
 
-def check_bb(r_max: int = 3, n_max: int = 5) -> dict:
-    """Attracting-cell decomposition against the known generating product."""
+def check_bb() -> dict:
+    """Attracting-cell decomposition against the known generating product,
+    for every rank r <= 3 and weight n <= 5."""
     cases = []
-    for r in range(1, r_max + 1):
-        for n in range(n_max + 1):
+    for r in range(1, 4):
+        for n in range(6):
             rep = bb_identity_check(r, n)
             cases.append({k: rep[k] for k in ("r", "n", "num_components", "match")})
     return {"name": "bb", "cases": cases, "match": all(c["match"] for c in cases)}
@@ -149,38 +142,23 @@ def check_tangent(r_max: int = 3, n_max: int = 5) -> dict:
     }
 
 
-def _chain_domain(max_top: int = 3) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    chains: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for m1 in range(1, max_top + 1):
-        for v1 in range(m1 + 1):
-            chains.append(((m1,), (v1,)))
-    for m1 in range(1, max_top + 1):
-        for m2 in range(m1 + 1):
-            for v1 in range(m1 + 1):
-                for v2 in range(min(v1, m2) + 1):
-                    chains.append(((m1, m2), (v1, v2)))
-    return chains
-
-
-def check_oracle(
-    max_grid_weight: int = 4, max_top: int = 3, budget: int = DEFAULT_BUDGET
-) -> dict:
+def check_oracle() -> dict:
     """Finite-field point counts against the class polynomials at L = 2, 3.
 
-    Every in-budget grid with |pi| <= max_grid_weight and every in-budget
-    chain with at most two stages and top dimension <= max_top is counted
-    exhaustively; chains are additionally swept over every surjective choice
-    of the intertwining map, whose value must not affect the count.
+    Every grid with |pi| <= 4 and every chain of one or two stages with top
+    dimension <= 3 whose raw search space fits DEFAULT_BUDGET is counted
+    exhaustively (the rest are counted as skipped); two-stage chains are also
+    swept over every surjective intertwining map, which must not matter.
     """
     primes = (2, 3)
     grid_checked = chain_checked = skipped = h_variants = 0
     failures: list[dict] = []
 
-    for w in range(max_grid_weight + 1):
+    for w in range(5):
         for pi in enumerate_plane_partitions(w):
-            inst = GridInstance(pi, budget=budget)
+            inst = GridInstance(pi)
             for p in primes:
-                if p ** grid_entry_count(pi) > budget:
+                if p ** grid_entry_count(pi) > DEFAULT_BUDGET:
                     skipped += 1
                     continue
                 rep = oracle_vs_class(inst, p)
@@ -188,13 +166,21 @@ def check_oracle(
                 if not rep["match"]:
                     failures.append(oracle_json(rep))
 
-    for mu, nu in _chain_domain(max_top):
+    chains = [((m1,), (v1,)) for m1 in range(1, 4) for v1 in range(m1 + 1)]
+    chains += [
+        ((m1, m2), (v1, v2))
+        for m1 in range(1, 4)
+        for m2 in range(m1 + 1)
+        for v1 in range(m1 + 1)
+        for v2 in range(min(v1, m2) + 1)
+    ]
+    for mu, nu in chains:
         entries = chain_entry_count(mu, nu)
         for p in primes:
-            if p**entries > budget:
+            if p**entries > DEFAULT_BUDGET:
                 skipped += 1
                 continue
-            rep = oracle_vs_class(ChainInstance(mu, nu, budget=budget), p)
+            rep = oracle_vs_class(ChainInstance(mu, nu), p)
             chain_checked += 1
             if not rep["match"]:
                 failures.append(oracle_json(rep))
@@ -203,7 +189,7 @@ def check_oracle(
                 base = rep["count"]
                 for h in surjective_h_choices(nu[1], nu[0], p):
                     h_variants += 1
-                    alt = count_chain_points(ChainInstance(mu, nu, (h,), budget), p)
+                    alt = count_chain_points(ChainInstance(mu, nu, (h,)), p)
                     if alt != base:
                         failures.append(
                             {"kind": "chain-h", "mu": list(mu), "nu": list(nu),
@@ -221,13 +207,13 @@ def check_oracle(
     }
 
 
-def check_class_structure(r_max: int = 4, max_weight: int = 5) -> dict:
-    """Every finite-rank component class is a certified polynomial with
-    nonnegative coefficients and constant term 1."""
+def check_class_structure() -> dict:
+    """Every component class of rank r <= 4 and weight |pi| <= 5 is a
+    certified polynomial with nonnegative coefficients and constant term 1."""
     checked = 0
     failures: list[dict] = []
-    for r in range(1, r_max + 1):
-        for w in range(max_weight + 1):
+    for r in range(1, 5):
+        for w in range(6):
             for pi in enumerate_plane_partitions(w, max_first_entry=r):
                 checked += 1
                 poly = fixed_component_class(r, pi).polynomial()

@@ -29,9 +29,12 @@ from .partitions import PlanePartition, exact_ints
 
 DEFAULT_BUDGET = 10**8
 
-# Largest matrix space or stage table materialized as one array; in-budget
-# instances that would need a larger one are refused rather than mis-counted.
+# Most int64 values materialized in one array (matrices x entries, or a stage
+# table's length); in-budget instances needing more are refused, not run.
 _TABLE_LIMIT = 1 << 22
+
+# Matrices decoded per chunk of a streamed (never materialized) space.
+_CHUNK_MATRICES = 1 << 16
 
 # (g, f) keys formed per batched lookup of a stage transfer. Peak memory
 # stays flat at 2^15; 2^20 raised the peak RSS of `macmahon all` by 10 MB.
@@ -145,10 +148,6 @@ def is_surjective(mat: Matrix, p: int) -> bool:
     return _rank_mod_p([list(r) for r in mat], p) == rows
 
 
-def _space_size(a: int, b: int, p: int) -> int:
-    return p ** (a * b)
-
-
 def _decode(codes: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
     # Row-major odometer: the (0,0) entry is the most significant digit.
     n = a * b
@@ -160,24 +159,25 @@ def _decode(codes: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
     return out.reshape(len(codes), a, b)
 
 
-def _tabulated_size(a: int, b: int, p: int) -> int:
-    size = _space_size(a, b, p)
-    if size > _TABLE_LIMIT:
+def _tabulated_size(a: int, b: int, p: int, width: int) -> int:
+    # p^(ab) rows of `width` values each
+    size = p ** (a * b)
+    if size * width > _TABLE_LIMIT:
         raise BudgetExceededError(
-            f"matrix space {a}x{b} over F_{p} is too large to tabulate ({size} matrices)"
+            f"matrix space {a}x{b} over F_{p} is too large to tabulate ({size * width} values)"
         )
     return size
 
 
 def _matrix_space(a: int, b: int, p: int) -> np.ndarray:
-    size = _tabulated_size(a, b, p)
+    size = _tabulated_size(a, b, p, a * b)
     if a * b == 0:
         return np.zeros((1, a, b), dtype=np.int64)
     return _decode(np.arange(size, dtype=np.int64), a, b, p)
 
 
-def _space_chunks(a: int, b: int, p: int, chunk: int = 1 << 16):
-    size = _space_size(a, b, p)
+def _space_chunks(a: int, b: int, p: int):
+    size = p ** (a * b)
     if size >= 1 << 62:
         raise BudgetExceededError(
             f"matrix space {a}x{b} over F_{p} does not fit 64-bit enumeration"
@@ -185,27 +185,23 @@ def _space_chunks(a: int, b: int, p: int, chunk: int = 1 << 16):
     if a * b == 0:
         yield np.zeros((1, a, b), dtype=np.int64)
         return
-    for start in range(0, size, chunk):
-        codes = np.arange(start, min(start + chunk, size), dtype=np.int64)
+    for start in range(0, size, _CHUNK_MATRICES):
+        codes = np.arange(start, min(start + _CHUNK_MATRICES, size), dtype=np.int64)
         yield _decode(codes, a, b, p)
 
 
-def _det_nonzero(mats: np.ndarray, p: int) -> np.ndarray:
-    a = mats.shape[1]
-    if a == 1:
-        return mats[:, 0, 0] % p != 0
-    if a == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        return det % p != 0
-    if a == 3:
-        m = mats
-        det = (
-            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-        )
-        return det % p != 0
-    return np.array([_rank_mod_p(m.tolist(), p) == a for m in mats], dtype=bool)
+def _det_nonzero(m: np.ndarray, p: int) -> np.ndarray:
+    # square blocks of side 1, 2 or 3 only; _surjective_mask ranks larger ones
+    if m.shape[1] == 1:
+        return m[:, 0, 0] % p != 0
+    if m.shape[1] == 2:
+        return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % p != 0
+    det = (
+        m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+        - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+        + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
+    )
+    return det % p != 0
 
 
 def _surjective_mask(mats: np.ndarray, p: int) -> np.ndarray:
@@ -308,7 +304,7 @@ def count_chain_points(inst: ChainInstance, p: int) -> int:
     weights = np.ones(len(g), dtype=np.int64)
     for stage in range(1, k):
         h_prev = np.array(h[stage - 1], dtype=np.int64).reshape(nu[stage], nu[stage - 1])
-        table = np.zeros(_tabulated_size(nu[stage], mu[stage - 1], p), dtype=np.int64)
+        table = np.zeros(_tabulated_size(nu[stage], mu[stage - 1], p, 1), dtype=np.int64)
         np.add.at(table, _encode(np.matmul(h_prev, g) % p, p), weights)
         g = _surjective_space(nu[stage], mu[stage], p)
         weights = _transfer(table, g, _surjective_space(mu[stage], mu[stage - 1], p), p)
@@ -328,44 +324,38 @@ def count_grid_points(inst: GridInstance, p: int) -> int:
     """Exact number of grid tuples (B1, B2 maps) over F_p with every map
     surjective and every square commuting.
 
-    Enumerates, for each map, its full matrix space (keeping the surjective
-    ones, since non-surjective choices contribute zero), then walks the
-    product in canonical map order and tests the commuting squares.
+    Each map has a position in the walk (every B1, from box (i, j) onto
+    (i+1, j), then every B2, onto (i, j+1)) and the surjective matrices of its
+    space as candidates. Every tuple of the product is tested on each square
+    B1(i, j+1) B2(i, j) = B2(i+1, j) B1(i, j), a quadruple of positions.
     """
     pi = inst.partition
     _check_search(p, grid_entry_count(pi), inst.budget)
-    map_specs: list[tuple[str, int, int, int, int]] = []
-    for i, j in pi.support():
-        if pi.entry(i + 1, j) > 0:
-            map_specs.append(("B1", i, j, pi.entry(i + 1, j), pi.entry(i, j)))
-    for i, j in pi.support():
-        if pi.entry(i, j + 1) > 0:
-            map_specs.append(("B2", i, j, pi.entry(i, j + 1), pi.entry(i, j)))
-
+    position: dict[tuple[str, int, int], int] = {}
     candidates: list[list[Matrix]] = []
-    for _, _, _, rows, cols in map_specs:
-        space = _matrix_space(rows, cols, p)
-        mask = _surjective_mask(space, p)
-        candidates.append(
-            [tuple(tuple(int(v) for v in row) for row in m) for m in space[mask]]
-        )
-
-    squares = [(i, j) for i, j in pi.support() if pi.entry(i + 1, j + 1) > 0]
-    if not map_specs:
-        return 1
-
-    keys = [(kind, i, j) for kind, i, j, _, _ in map_specs]
+    for kind, di, dj in (("B1", 1, 0), ("B2", 0, 1)):
+        for i, j in pi.support():
+            rows = pi.entry(i + di, j + dj)
+            if rows > 0:
+                position[kind, i, j] = len(candidates)
+                space = _matrix_space(rows, pi.entry(i, j), p)
+                # per matrix: one tolist() of the whole space raised peak RSS
+                candidates.append(
+                    [tuple(map(tuple, m.tolist())) for m in space[_surjective_mask(space, p)]]
+                )
+    squares = [
+        (position["B1", i, j + 1], position["B2", i, j],
+         position["B2", i + 1, j], position["B1", i, j])
+        for i, j in pi.support()
+        if pi.entry(i + 1, j + 1) > 0
+    ]
     count = 0
     for combo in product(*candidates):
-        chosen = dict(zip(keys, combo))
-        ok = True
-        for i, j in squares:
-            left = _mat_mul(chosen[("B1", i, j + 1)], chosen[("B2", i, j)], p)
-            right = _mat_mul(chosen[("B2", i + 1, j)], chosen[("B1", i, j)], p)
-            if left != right:
-                ok = False
+        for a, b, c, d in squares:
+            if _mat_mul(combo[a], combo[b], p) != _mat_mul(combo[c], combo[d], p):
                 break
-        count += ok
+        else:
+            count += 1
     return count
 
 

@@ -56,9 +56,6 @@ class MotivicClass:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MotivicClass) and self.factors == other.factors
 
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
     def __repr__(self) -> str:
         return f"MotivicClass({self.factors!r})"
 
@@ -66,6 +63,15 @@ class MotivicClass:
 def poly_json(poly: dict[int, int]) -> list[list]:
     """{degree: coeff} as [[degree, "coeff"]] pairs by degree, ready for JSON."""
     return [[d, str(poly[d])] for d in sorted(poly)]
+
+
+def identity_report(lhs: TruncatedSeries, rhs: TruncatedSeries, **params) -> dict:
+    """The report of a series identity: the params, "match", and on a
+    mismatch the first differing coefficient."""
+    report = {**params, "match": lhs == rhs}
+    if not report["match"]:
+        report["first_difference"] = lhs.first_difference(rhs)
+    return report
 
 
 def _box_factorial_ratio(pi: PlanePartition, var: str = "L") -> FactorProduct:
@@ -150,11 +156,9 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
     Certified polynomial.
     """
     fp = q_factorial(pi.first_entry, "L") / gl_class(pi.first_entry)
+    fp = fp * _box_factorial_ratio(pi)
     for i, j in pi.support():
-        a = pi.entry(i, j)
-        fp = fp * q_factorial(a - pi.entry(i + 1, j + 1), "L") * gl_class(a)
-        fp = fp / q_factorial(a - pi.entry(i + 1, j), "L")
-        fp = fp / q_factorial(a - pi.entry(i, j + 1), "L")
+        fp = fp * gl_class(pi.entry(i, j))
     return MotivicClass(fp).certify()
 
 
@@ -173,11 +177,11 @@ def chain_bookkeeping_identity(r: int, pi: PlanePartition) -> bool:
     return expected == fixed_component_class(r, pi).factors
 
 
-def moduli_space_class(r: int, n: int, cap: int | None = None) -> dict[int, int]:
+def moduli_space_class(r: int, n: int) -> dict[int, int]:
     """Coefficient of t^n in prod_{m<=r} prod_{k>=1} 1/(1 - L^(rk+m) t^k).
 
     The coefficient is a polynomial in L of degree exactly 2rn, so the
-    default cap 2rn loses nothing.
+    L cap 2rn loses nothing.
     """
     if r < 1:
         raise ValueError("rank must be positive")
@@ -185,8 +189,7 @@ def moduli_space_class(r: int, n: int, cap: int | None = None) -> dict[int, int]
         raise ValueError("weight must be nonnegative")
     if n == 0:
         return {0: 1}
-    l_cap = 2 * r * n if cap is None else cap
-    profile = TruncationProfile(t=n, L=l_cap)
+    profile = TruncationProfile(t=n, L=2 * r * n)
     fp = FactorProduct.one()
     for m in range(1, r + 1):
         for k in range(1, n + 1):
@@ -266,17 +269,13 @@ def refined_macmahon_rhs(r: int | None, t_order: int, q_order: int) -> Truncated
 
 
 def refined_macmahon_check(r: int | None, t_order: int, q_order: int) -> dict:
-    lhs = refined_macmahon_lhs(r, t_order, q_order)
-    rhs = refined_macmahon_rhs(r, t_order, q_order)
-    report = {
-        "r": "inf" if r is None else r,
-        "t_order": t_order,
-        "q_order": q_order,
-        "match": lhs == rhs,
-    }
-    if not report["match"]:
-        report["first_difference"] = lhs.first_difference(rhs)
-    return report
+    return identity_report(
+        refined_macmahon_lhs(r, t_order, q_order),
+        refined_macmahon_rhs(r, t_order, q_order),
+        r="inf" if r is None else r,
+        t_order=t_order,
+        q_order=q_order,
+    )
 
 
 def limit_series_lhs(t_order: int, l_order: int) -> TruncatedSeries:
@@ -301,12 +300,12 @@ def limit_series_rhs(t_order: int, l_order: int) -> TruncatedSeries:
 
 
 def limit_series_check(t_order: int, l_order: int) -> dict:
-    lhs = limit_series_lhs(t_order, l_order)
-    rhs = limit_series_rhs(t_order, l_order)
-    report = {"t_order": t_order, "l_order": l_order, "match": lhs == rhs}
-    if not report["match"]:
-        report["first_difference"] = lhs.first_difference(rhs)
-    return report
+    return identity_report(
+        limit_series_lhs(t_order, l_order),
+        limit_series_rhs(t_order, l_order),
+        t_order=t_order,
+        l_order=l_order,
+    )
 
 
 def limit_class_check(max_weight: int, l_order: int) -> dict:

@@ -46,9 +46,6 @@ class YoungDiagram:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
-
     def row(self, i: int) -> int:
         """Length of row i; 0 outside the diagram."""
         return self.rows[i] if 0 <= i < len(self.rows) else 0
@@ -247,7 +244,7 @@ def enumerate_plane_partitions(
         yield PlanePartition(rows)
 
 
-def enumerate_young_diagrams(n: int, max_part: int | None = None) -> Iterator[YoungDiagram]:
+def enumerate_young_diagrams(n: int) -> Iterator[YoungDiagram]:
     """All partitions of n in descending lexicographic order."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
@@ -260,7 +257,7 @@ def enumerate_young_diagrams(n: int, max_part: int | None = None) -> Iterator[Yo
             for rest in rec(v, budget - v):
                 yield (v,) + rest
 
-    for rows in rec(n if max_part is None else min(max_part, n), n):
+    for rows in rec(n, n):
         yield YoungDiagram(rows)
 
 

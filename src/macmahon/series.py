@@ -57,15 +57,13 @@ class TruncationProfile:
 
     __slots__ = ("vars", "caps", "_inside", "_outside")
 
-    def __init__(self, caps: Mapping[str, int] | None = None, **kw: int):
-        merged: dict[str, int] = dict(caps or {})
-        merged.update(kw)
-        for var, cap in merged.items():
+    def __init__(self, **caps: int):
+        for var, cap in caps.items():
             _index(var)  # rejects a variable outside the alphabet
             if int(cap) < 0:
                 raise ValueError(f"cap for {var!r} must be nonnegative")
-        self.vars: tuple[str, ...] = tuple(v for v in ALPHABET if v in merged)
-        self.caps: tuple[int, ...] = tuple(int(merged[v]) for v in self.vars)
+        self.vars: tuple[str, ...] = tuple(v for v in ALPHABET if v in caps)
+        self.caps: tuple[int, ...] = tuple(int(caps[v]) for v in self.vars)
         self._inside = tuple(_ALPHABET_INDEX[v] for v in self.vars)
         self._outside = tuple(i for i in range(len(ALPHABET)) if i not in self._inside)
 
@@ -222,9 +220,6 @@ class TruncatedSeries:
             and self.profile == other.profile
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.profile, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.profile!r}, {len(self.coeffs)} terms)"
@@ -414,9 +409,6 @@ class FactorProduct:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FactorProduct) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         def fmt_mono(vec: Vector) -> str:

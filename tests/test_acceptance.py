@@ -43,7 +43,7 @@ def test_criterion_5_limit_class_series():
 
 
 def test_criterion_6_attracting_cell_identity():
-    rep = acceptance.check_bb(r_max=3, n_max=5)
+    rep = acceptance.check_bb()
     assert len(rep["cases"]) == 18
     _report("6 attracting-cell identity r<=3, n<=5", rep["match"])
 
@@ -61,6 +61,6 @@ def test_criterion_8_finite_field_oracle():
 
 
 def test_criterion_9_class_structure():
-    rep = acceptance.check_class_structure(r_max=4, max_weight=5)
+    rep = acceptance.check_class_structure()
     assert rep["num_classes"] > 0
     _report("9 certified polynomial classes, nonneg, constant term 1", rep["match"])

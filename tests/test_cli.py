@@ -96,7 +96,11 @@ def test_verify_bb(capsys):
 def test_verify_refined_macmahon_infinite_rank(capsys):
     code, out = _run(capsys, ["verify", "refined-macmahon", "--r", "inf", "--t-order", "3", "--q-order", "5"])
     assert code == 0
-    assert json.loads(out)["payload"]["r"] == "inf"
+    report = json.loads(out)
+    assert report["payload"]["r"] == "inf"
+    assert report["parameters"] == {
+        "command": "verify", "target": "refined-macmahon", "r": "inf", "t_order": 3, "q_order": 5
+    }
 
 
 def test_verify_limit_targets(capsys):
@@ -162,9 +166,15 @@ def test_count_points_chain_with_h(capsys):
 
 
 def test_count_points_budget_refusal(capsys):
-    code, out = _run(capsys, ["count-points", "--grid", "[[3,3],[3,3]]", "--p", "2"])
-    assert code == 3
-    assert json.loads(out)["outcome"] == "error"
+    # raw space over the budget; then an in-budget chain whose 2^18 matrices
+    # of 18 entries each are too many int64 values to materialize
+    for argv in (
+        ["--grid", "[[3,3],[3,3]]", "--p", "2"],
+        ["--chain-mu", "[18,1]", "--chain-nu", "[0,0]", "--p", "2"],
+    ):
+        code, out = _run(capsys, ["count-points", *argv])
+        assert code == 3
+        assert json.loads(out)["outcome"] == "error"
 
 
 def test_count_points_nonpositive_budget_is_usage_error(capsys):

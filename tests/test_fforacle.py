@@ -19,7 +19,7 @@ from macmahon.fforacle import (
     surjective_h_choices,
 )
 from macmahon.motivic import commuting_grid_class, surjective_chain_class
-from macmahon.partitions import PlanePartition
+from macmahon.partitions import PlanePartition, enumerate_plane_partitions
 
 
 def test_chain_examples():
@@ -58,8 +58,6 @@ def test_oracle_matches_class():
 
 
 def test_oracle_vs_class_weight_three_grids():
-    from macmahon.partitions import enumerate_plane_partitions
-
     for pi in enumerate_plane_partitions(3):
         for p in (2, 3):
             count = count_grid_points(GridInstance(pi), p)
@@ -138,38 +136,65 @@ def test_surjective_h_choices_counts():
     assert len(surjective_h_choices(2, 2, 2)) == 6  # invertible 2x2 over F_2
 
 
+def _all_matrices(rows, cols, p):
+    # every rows x cols matrix over F_p, entry by entry
+    if rows * cols == 0:
+        return [tuple(tuple() for _ in range(rows))]
+    out = []
+    for entries in iproduct(range(p), repeat=rows * cols):
+        out.append(tuple(entries[r * cols : (r + 1) * cols] for r in range(rows)))
+    return out
+
+
+def _mul(a, b, p):
+    if not a:
+        return ()
+    if not b:
+        return tuple(() for _ in a)
+    cols = len(b[0])
+    return tuple(
+        tuple(sum(x * b[t][c] for t, x in enumerate(row)) % p for c in range(cols))
+        for row in a
+    )
+
+
 def _naive_chain_count(mu, nu, h, p):
     # dumb odometer over every entry of every map, one tuple at a time
-    from itertools import product as iproduct
-
     k = len(mu)
     shapes = [(mu[i + 1], mu[i]) for i in range(k - 1)] + [(nu[i], mu[i]) for i in range(k)]
-
-    def matrices(rows, cols):
-        if rows * cols == 0:
-            return [tuple(tuple() for _ in range(rows))]
-        out = []
-        for entries in iproduct(range(p), repeat=rows * cols):
-            out.append(tuple(entries[r * cols : (r + 1) * cols] for r in range(rows)))
-        return out
-
-    def mul(a, b):
-        if not a:
-            return ()
-        if not b:
-            return tuple(() for _ in a)
-        cols = len(b[0])
-        return tuple(
-            tuple(sum(x * b[t][c] for t, x in enumerate(row)) % p for c in range(cols))
-            for row in a
-        )
-
     count = 0
-    for combo in iproduct(*(matrices(r, c) for r, c in shapes)):
+    for combo in iproduct(*(_all_matrices(r, c, p) for r, c in shapes)):
         fs, gs = combo[: k - 1], combo[k - 1 :]
         if not all(is_surjective(m, p) for m in combo):
             continue
-        if all(mul(gs[i + 1], fs[i]) == mul(h[i], gs[i]) for i in range(k - 1)):
+        if all(_mul(gs[i + 1], fs[i], p) == _mul(h[i], gs[i], p) for i in range(k - 1)):
+            count += 1
+    return count
+
+
+def _naive_grid_count(pi, p):
+    # dumb odometer over every entry of every map, one tuple at a time; the
+    # map from box (i, j) down is ("B1", i, j), the map to the right ("B2", i, j)
+    shapes = {}
+    for i, j in pi.support():
+        if pi.entry(i + 1, j):
+            shapes["B1", i, j] = (pi.entry(i + 1, j), pi.entry(i, j))
+        if pi.entry(i, j + 1):
+            shapes["B2", i, j] = (pi.entry(i, j + 1), pi.entry(i, j))
+    squares = [(i, j) for i, j in pi.support() if pi.entry(i + 1, j + 1)]
+    surjective = {}
+    count = 0
+    for combo in iproduct(*(_all_matrices(r, c, p) for r, c in shapes.values())):
+        m = dict(zip(shapes, combo))
+        for mat in combo:
+            if mat not in surjective:
+                surjective[mat] = is_surjective(mat, p)
+        if not all(surjective[mat] for mat in combo):
+            continue
+        if all(
+            _mul(m["B1", i, j + 1], m["B2", i, j], p) == _mul(m["B2", i + 1, j], m["B1", i, j], p)
+            for i, j in squares
+        ):
             count += 1
     return count
 
@@ -241,6 +266,26 @@ def test_staged_count_equals_naive_odometer(case):
     assert p ** chain_entry_count(mu, nu) <= RAW_LIMIT
     inst = ChainInstance(mu, nu, h if len(mu) > 1 else None)
     assert count_chain_points(inst, p) == _naive_chain_count(mu, nu, list(h), p)
+
+
+# every plane partition with |pi| <= 8, each a grid shape for the property test
+GRID_SHAPES = [pi for w in range(9) for pi in enumerate_plane_partitions(w)]
+
+
+@st.composite
+def grid_instances(draw):
+    """A plane partition whose grid's raw search space fits RAW_LIMIT at p in
+    {2, 3, 5}."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    pi = draw(st.sampled_from([pi for pi in GRID_SHAPES if p ** grid_entry_count(pi) <= RAW_LIMIT]))
+    return pi, p
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_instances())
+def test_grid_count_equals_naive_odometer(case):
+    pi, p = case
+    assert count_grid_points(GridInstance(pi), p) == _naive_grid_count(pi, p)
 
 
 @pytest.mark.parametrize("chunk", [1, 40])

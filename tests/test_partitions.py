@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macmahon.partitions import (
     DiagramTuple,
@@ -24,9 +26,28 @@ def _series_counts(order):
 
 
 def test_enumeration_counts_match_series_oracle():
-    counts = [sum(1 for _ in enumerate_plane_partitions(n)) for n in range(9)]
-    assert counts == _series_counts(8)
-    assert counts == [1, 1, 3, 6, 13, 24, 48, 86, 160]
+    counts = [sum(1 for _ in enumerate_plane_partitions(n)) for n in range(15)]
+    assert counts == _series_counts(14)
+    assert counts[:9] == [1, 1, 3, 6, 13, 24, 48, 86, 160]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 10))
+def test_enumeration_is_valid_distinct_descending_and_filters_by_corner(n, r):
+    full = list(enumerate_plane_partitions(n))
+    rows = [pi.rows for pi in full]
+    for pi in rows:
+        assert sum(map(sum, pi)) == n
+        assert all(row and min(row) >= 1 for row in pi)
+        assert all(a >= b for row in pi for a, b in zip(row, row[1:]))
+        assert all(
+            len(lower) <= len(upper) and all(a >= b for a, b in zip(upper, lower))
+            for upper, lower in zip(pi, pi[1:])
+        )
+    assert len(set(rows)) == len(rows)
+    assert all(a > b for a, b in zip(rows, rows[1:]))
+    restricted = list(enumerate_plane_partitions(n, max_first_entry=r))
+    assert restricted == [pi for pi in full if pi.first_entry <= r]
 
 
 def test_weight_zero_yields_only_empty():
