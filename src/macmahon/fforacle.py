@@ -1,14 +1,11 @@
 """Brute-force point counts of surjection varieties over small prime fields.
 
-The oracle is deliberately independent of the class formulas: it enumerates
-matrix tuples over F_p exhaustively and counts those satisfying the defining
-conditions (intertwining / commuting squares, full surjectivity). Nothing is
-sampled and nothing is pruned. Chains are counted by a staged transfer: one
-integer table per stage, indexed by the encoded boundary product h_i g_i,
-carries the number of partial tuples to the next stage, and every pair of
-surjective matrices (g, f) of a stage is looked up in it. Every matrix of
-every map is still visited. Grids use the plain product enumeration over
-per-map matrix lists.
+The oracle is deliberately independent of the class formulas: it counts the
+matrix tuples over F_p that satisfy the defining conditions (commuting
+squares, full surjectivity). Nothing is sampled and nothing is pruned.
+Chains and grids are both lists of maps and commuting squares for one
+counter, `_count_points`; every matrix of every free map is visited, and
+its integer tables of products only reorder the exact count.
 
 Counts are exact int64 sums; the budget guard refuses instances whose raw
 search space p^(number of free entries) exceeds the instance budget, and
@@ -20,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -29,14 +26,15 @@ from .partitions import PlanePartition, exact_ints
 
 DEFAULT_BUDGET = 10**8
 
-# Most int64 values materialized in one array (matrices x entries, or a stage
-# table's length); in-budget instances needing more are refused, not run.
+# Most int64 values materialized in one array (matrices x entries of a space,
+# or a product table's length); in-budget instances needing more are refused.
 _TABLE_LIMIT = 1 << 22
 
-# Matrices decoded per chunk of a streamed (never materialized) space.
-_CHUNK_MATRICES = 1 << 16
+# Matrices decoded per chunk of a streamed (never materialized) space. At 2^16
+# the 3x4 space over F_3 peaked 16 MB higher than at 2^13, and ran slower.
+_CHUNK_MATRICES = 1 << 13
 
-# (g, f) keys formed per batched lookup of a stage transfer. Peak memory
+# Products formed per batch of a square's table fill or lookup. Peak memory
 # stays flat at 2^15; 2^20 raised the peak RSS of `macmahon all` by 10 MB.
 _CHUNK_KEYS = 1 << 15
 
@@ -142,21 +140,7 @@ def _rank_mod_p(mat: list[list[int]], p: int) -> int:
 
 def is_surjective(mat: Matrix, p: int) -> bool:
     """Rank equals the target dimension, by exact elimination mod p."""
-    rows = len(mat)
-    if rows == 0:
-        return True
-    return _rank_mod_p([list(r) for r in mat], p) == rows
-
-
-def _decode(codes: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
-    # Row-major odometer: the (0,0) entry is the most significant digit.
-    n = a * b
-    out = np.empty((len(codes), n), dtype=np.int64)
-    rest = codes.copy()
-    for idx in range(n - 1, -1, -1):
-        out[:, idx] = rest % p
-        rest //= p
-    return out.reshape(len(codes), a, b)
+    return _rank_mod_p(mat, p) == len(mat)
 
 
 def _tabulated_size(a: int, b: int, p: int, width: int) -> int:
@@ -169,25 +153,20 @@ def _tabulated_size(a: int, b: int, p: int, width: int) -> int:
     return size
 
 
-def _matrix_space(a: int, b: int, p: int) -> np.ndarray:
-    size = _tabulated_size(a, b, p, a * b)
-    if a * b == 0:
-        return np.zeros((1, a, b), dtype=np.int64)
-    return _decode(np.arange(size, dtype=np.int64), a, b, p)
-
-
 def _space_chunks(a: int, b: int, p: int):
     size = p ** (a * b)
     if size >= 1 << 62:
         raise BudgetExceededError(
             f"matrix space {a}x{b} over F_{p} does not fit 64-bit enumeration"
         )
-    if a * b == 0:
-        yield np.zeros((1, a, b), dtype=np.int64)
-        return
     for start in range(0, size, _CHUNK_MATRICES):
         codes = np.arange(start, min(start + _CHUNK_MATRICES, size), dtype=np.int64)
-        yield _decode(codes, a, b, p)
+        mats = np.empty((len(codes), a * b), dtype=np.int64)
+        # row-major odometer: the (0, 0) entry is the most significant digit
+        for idx in range(a * b - 1, -1, -1):
+            mats[:, idx] = codes % p
+            codes //= p
+        yield mats.reshape(len(mats), a, b)
 
 
 def _det_nonzero(m: np.ndarray, p: int) -> np.ndarray:
@@ -208,8 +187,6 @@ def _surjective_mask(mats: np.ndarray, p: int) -> np.ndarray:
     n, a, b = mats.shape
     if a == 0:
         return np.ones(n, dtype=bool)
-    if a > b:
-        return np.zeros(n, dtype=bool)
     if a > 3:
         return np.array([_rank_mod_p(m.tolist(), p) == a for m in mats], dtype=bool)
     mask = np.zeros(n, dtype=bool)
@@ -221,36 +198,14 @@ def _surjective_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return mask
 
 
-def _encode(mats: np.ndarray, p: int) -> np.ndarray:
-    # Row-major odometer code of each matrix in the last two axes.
-    digits = mats.shape[-2] * mats.shape[-1]
-    if p**digits >= 1 << 62:
-        raise BudgetExceededError(
-            f"product keys with {digits} digits over F_{p} do not fit 64 bits"
-        )
-    powers = p ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-    return mats.reshape(*mats.shape[:-2], digits) @ powers
-
-
 @lru_cache(maxsize=64)
 def _surjective_space(a: int, b: int, p: int) -> np.ndarray:
     """Every surjective a x b matrix over F_p, in odometer order, as one
     read-only (n, a, b) array shared by all callers."""
-    space = _matrix_space(a, b, p)
-    mats = space[_surjective_mask(space, p)]
+    _tabulated_size(a, b, p, a * b)
+    mats = np.concatenate([m[_surjective_mask(m, p)] for m in _space_chunks(a, b, p)])
     mats.flags.writeable = False
     return mats
-
-
-def _transfer(table: np.ndarray, g: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    """out[i] = sum of table[key(g_i f_j mod p)] over every f_j."""
-    out = np.zeros(len(g), dtype=np.int64)
-    step = max(1, _CHUNK_KEYS // len(g))
-    for start in range(0, len(f), step):
-        prods = np.matmul(g[:, None], f[None, start : start + step])
-        prods %= p
-        out += table[_encode(prods, p)].sum(axis=1)
-    return out
 
 
 def _validated_h(
@@ -275,88 +230,151 @@ def _validated_h(
     return tuple(out)
 
 
+def _product_keys(whole: np.ndarray, part: np.ndarray, whole_left: bool, powers: np.ndarray, p: int):
+    """Yields (start, keys) in batches of about _CHUNK_KEYS: keys[i, j] is the
+    code (digit weights `powers`) of whole[i] part[start + j], or of
+    part[start + j] whole[i] when not whole_left."""
+    step = max(1, _CHUNK_KEYS // len(whole))
+    for start in range(0, len(part), step):
+        chunk = part[None, start : start + step]
+        prods = np.matmul(whole[:, None], chunk) if whole_left else np.matmul(chunk, whole[:, None])
+        prods %= p
+        yield start, prods.reshape(*prods.shape[:2], len(powers)) @ powers
+
+
+def _square_vector(square, out: int, spaces: dict, weights: dict, p: int) -> np.ndarray:
+    """Entry k: the sum, over the choices of the square's other maps that
+    make it commute with map `out` at its k-th matrix, of the product of
+    their weights. The side without `out` fills a table of its products
+    (np.add.at, integer weights); the other side's products look it up."""
+    a, b, c, d = square
+    (x, y), (left, right) = ((a, b), (c, d)) if out in (c, d) else ((c, d), (a, b))
+    rows, cols = spaces[x].shape[1], spaces[y].shape[2]
+    table = np.zeros(_tabulated_size(rows, cols, p, 1), dtype=np.int64)
+    # the codes index that table, so they fit int64
+    powers = p ** np.arange(rows * cols - 1, -1, -1, dtype=np.int64)
+    for start, keys in _product_keys(spaces[x], spaces[y], True, powers, p):
+        w = weights[x][:, None] * weights[y][start : start + keys.shape[1]]
+        # raveled: np.add.at on 2-D indices took about twice as long
+        np.add.at(table, keys.ravel(), w.ravel())
+    other = right if left == out else left
+    vec = np.zeros(len(spaces[out]), dtype=np.int64)
+    for start, keys in _product_keys(spaces[out], spaces[other], left == out, powers, p):
+        vec += table.take(keys) @ weights[other][start : start + keys.shape[1]]
+    return vec
+
+
+def _count_points(maps: list, squares: list, p: int) -> int:
+    """Choices of a surjective matrix for every free map with every square
+    commuting. maps: (rows, cols, fixed), fixed one given matrix or None for
+    a free map; squares: (a, b, c, d) for maps[a] maps[b] = maps[c] maps[d].
+
+    A free map in no square is streamed, never held (with no rows it has its
+    one matrix). Squares sharing a free map are walked depth first from each
+    component's last square; a shared map leading back to a square already
+    reached closes a cycle and is fixed to each of its matrices in turn. Each
+    other square scales the weights of the map it shares with its parent; a
+    root sums onto its first free map.
+    """
+    shared: dict[int, list[int]] = {}
+    for s, square in enumerate(squares):
+        for m in square:
+            shared.setdefault(m, []).append(s)
+    entries = sum(maps[m][0] * maps[m][1] for m in shared if maps[m][2] is None)
+    if p**entries >= 1 << 63:
+        raise BudgetExceededError(f"{p}^{entries} tuples do not fit 64-bit counts")
+
+    order = []  # (square, the map it shares with its parent or None), parents first
+    seen = set()
+    for top in reversed(range(len(squares))):
+        if top in seen:
+            continue
+        seen.add(top)
+        stack = [(top, None)]
+        while stack:
+            s, link = stack.pop()
+            order.append((s, link))
+            for m in squares[s]:
+                if m == link or maps[m][2] is not None:
+                    continue
+                for t in shared[m]:
+                    if t == s:
+                        continue
+                    if t in seen:
+                        rows, cols, _ = maps[m]
+                        return sum(
+                            _count_points([*maps[:m], (rows, cols, mat), *maps[m + 1 :]], squares, p)
+                            for mat in _surjective_space(rows, cols, p)
+                        )
+                    seen.add(t)
+                    stack.append((t, m))
+
+    total = 1
+    spaces, weights = {}, {}
+    for m, (rows, cols, fixed) in enumerate(maps):
+        if m in shared:
+            if fixed is None:
+                spaces[m] = _surjective_space(rows, cols, p)
+            else:
+                spaces[m] = np.asarray(fixed, dtype=np.int64).reshape(1, rows, cols)
+            weights[m] = np.ones(len(spaces[m]), np.int64)
+        elif fixed is None and rows:
+            total *= sum(int(_surjective_mask(mats, p).sum()) for mats in _space_chunks(rows, cols, p))
+    for s, link in reversed(order):
+        if link is None:
+            out = next(m for m in squares[s] if maps[m][2] is None)
+            total *= int(_square_vector(squares[s], out, spaces, weights, p) @ weights[out])
+        else:
+            weights[link] = weights[link] * _square_vector(squares[s], link, spaces, weights, p)
+    return total
+
+
 def count_chain_points(inst: ChainInstance, p: int) -> int:
     """Exact number of chain tuples ((f_i), (g_i)) over F_p satisfying
     g_{i+1} f_i = h_i g_i with every f_i and g_i surjective.
 
-    The sum over tuples is a staged transfer. The stage-0 table counts the
-    surjective g_0 by the value of h_0 g_0. At stage i every pair of
-    surjective (g_i, f_{i-1}) looks up the product g_i f_{i-1} in the
-    previous table, which gives the number of partial tuples ending in g_i;
-    those numbers fill the next table, keyed by h_i g_i. Every matrix of
-    every map is enumerated; the tables only reorder the exact count.
+    The chain is the path of squares (g_{i+1}, f_i, h_i, g_i), h_i fixed:
+    from the first square on, a table of the products h_i g_i, weighted by
+    the partial tuples ending in each g_i, is looked up by every g_{i+1} f_i.
     """
     mu, nu = _normalize_chain(inst.mu, inst.nu)
-    entries = chain_entry_count(mu, nu)
-    _check_search(p, entries, inst.budget)
-    h = _validated_h(mu, nu, inst.h, p)
     k = len(mu)
-
-    if k == 1:
-        total = 0
-        for mats in _space_chunks(nu[0], mu[0], p):
-            total += int(_surjective_mask(mats, p).sum())
-        return total
-
-    if p**entries >= 1 << 63:
-        raise BudgetExceededError(f"{p}^{entries} tuples do not fit 64-bit counts")
-    g = _surjective_space(nu[0], mu[0], p)
-    weights = np.ones(len(g), dtype=np.int64)
-    for stage in range(1, k):
-        h_prev = np.array(h[stage - 1], dtype=np.int64).reshape(nu[stage], nu[stage - 1])
-        table = np.zeros(_tabulated_size(nu[stage], mu[stage - 1], p, 1), dtype=np.int64)
-        np.add.at(table, _encode(np.matmul(h_prev, g) % p, p), weights)
-        g = _surjective_space(nu[stage], mu[stage], p)
-        weights = _transfer(table, g, _surjective_space(mu[stage], mu[stage - 1], p), p)
-    return int(weights.sum())
-
-
-def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    cols = len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum(row[x] * b[x][c] for x in range(inner)) % p for c in range(cols))
-        for row in a
-    )
+    # g_i at position i, f_i at k + i, h_i at 2k - 1 + i
+    maps = [(nu[i], mu[i], None) for i in range(k)]
+    maps += [(mu[i + 1], mu[i], None) for i in range(k - 1)]
+    _check_search(p, sum(rows * cols for rows, cols, _ in maps), inst.budget)
+    maps += [(nu[i + 1], nu[i], h) for i, h in enumerate(_validated_h(mu, nu, inst.h, p))]
+    squares = [(i + 1, k + i, 2 * k - 1 + i, i) for i in range(k - 1)]
+    return _count_points(maps, squares, p)
 
 
 def count_grid_points(inst: GridInstance, p: int) -> int:
     """Exact number of grid tuples (B1, B2 maps) over F_p with every map
-    surjective and every square commuting.
-
-    Each map has a position in the walk (every B1, from box (i, j) onto
-    (i+1, j), then every B2, onto (i, j+1)) and the surjective matrices of its
-    space as candidates. Every tuple of the product is tested on each square
-    B1(i, j+1) B2(i, j) = B2(i+1, j) B1(i, j), a quadruple of positions.
+    surjective and every square B1(i, j+1) B2(i, j) = B2(i+1, j) B1(i, j)
+    commuting. Maps sit by position on the bounding rectangle of the support,
+    every B1 (box (i, j) onto (i+1, j)) before every B2 (onto (i, j+1)); a map
+    onto an empty box has 0 rows and its one matrix.
     """
     pi = inst.partition
-    _check_search(p, grid_entry_count(pi), inst.budget)
-    position: dict[tuple[str, int, int], int] = {}
-    candidates: list[list[Matrix]] = []
-    for kind, di, dj in (("B1", 1, 0), ("B2", 0, 1)):
-        for i, j in pi.support():
-            rows = pi.entry(i + di, j + dj)
-            if rows > 0:
-                position[kind, i, j] = len(candidates)
-                space = _matrix_space(rows, pi.entry(i, j), p)
-                # per matrix: one tolist() of the whole space raised peak RSS
-                candidates.append(
-                    [tuple(map(tuple, m.tolist())) for m in space[_surjective_mask(space, p)]]
-                )
+    height = len(pi.rows)
+    width = len(pi.rows[0]) if pi.rows else 0
+
+    def at(kind: int, i: int, j: int) -> int:
+        return (kind * height + i) * width + j
+
+    maps = [
+        (pi.entry(i + 1 - kind, j + kind), pi.entry(i, j), None)
+        for kind in (0, 1)
+        for i in range(height)
+        for j in range(width)
+    ]
     squares = [
-        (position["B1", i, j + 1], position["B2", i, j],
-         position["B2", i + 1, j], position["B1", i, j])
+        (at(0, i, j + 1), at(1, i, j), at(1, i + 1, j), at(0, i, j))
         for i, j in pi.support()
         if pi.entry(i + 1, j + 1) > 0
     ]
-    count = 0
-    for combo in product(*candidates):
-        for a, b, c, d in squares:
-            if _mat_mul(combo[a], combo[b], p) != _mat_mul(combo[c], combo[d], p):
-                break
-        else:
-            count += 1
-    return count
+    _check_search(p, sum(rows * cols for rows, cols, _ in maps), inst.budget)
+    return _count_points(maps, squares, p)
 
 
 def surjective_h_choices(rows: int, cols: int, p: int) -> list[Matrix]:

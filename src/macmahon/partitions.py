@@ -11,14 +11,21 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 
+def exact_int(value) -> int:
+    """The value itself if its type is int. Input is never coerced: 1.5 or
+    True is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def exact_ints(values) -> list[int]:
-    """The entries of a list or tuple of ints, as a new list. Input is never
-    coerced: an entry 1.5 or True, or a dict in place of the list, is a
-    ValueError."""
+    """The entries of a list or tuple of ints, as a new list; a dict in place
+    of the list, or an entry that exact_int rejects, is a ValueError."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"expected a list of integers, got {values!r}")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:  # exact_int's test, inline on this hot path
             raise ValueError(f"expected an integer, got {v!r}")
     return list(values)
 
@@ -225,11 +232,11 @@ def enumerate_plane_partitions(
     lexicographic on the tuple of rows, so the largest entries come first
     ([[2]], [[1,1]], [[1],[1]] for n = 2).
     """
-    if n < 0:
+    if exact_int(n) < 0:
         raise ValueError("weight must be nonnegative")
-    if max_first_entry is not None and max_first_entry < 0:
+    if max_first_entry is not None and exact_int(max_first_entry) < 0:
         raise ValueError("max_first_entry must be nonnegative")
-    cap = n if max_first_entry is None else min(int(max_first_entry), n)
+    cap = n if max_first_entry is None else min(max_first_entry, n)
 
     def rec(prev: tuple[int, ...] | None, remaining: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if remaining == 0:

@@ -13,6 +13,8 @@ from math import comb
 from operator import add, neg
 from typing import Mapping
 
+from .partitions import exact_int
+
 # Closed variable alphabet. "L" is the class of the affine line; identities
 # that specialize a formal variable to that class simply rename q -> L.
 ALPHABET = ("q", "t", "s", "L")
@@ -39,7 +41,7 @@ def _index(var: str) -> int:
 def _alphabet_vector(exponents: Mapping[str, int]) -> Vector:
     vec = list(_ZERO)
     for var, e in exponents.items():
-        vec[_index(var)] = int(e)
+        vec[_index(var)] = exact_int(e)
     return tuple(vec)
 
 
@@ -60,10 +62,10 @@ class TruncationProfile:
     def __init__(self, **caps: int):
         for var, cap in caps.items():
             _index(var)  # rejects a variable outside the alphabet
-            if int(cap) < 0:
+            if exact_int(cap) < 0:
                 raise ValueError(f"cap for {var!r} must be nonnegative")
         self.vars: tuple[str, ...] = tuple(v for v in ALPHABET if v in caps)
-        self.caps: tuple[int, ...] = tuple(int(caps[v]) for v in self.vars)
+        self.caps: tuple[int, ...] = tuple(caps[v] for v in self.vars)
         self._inside = tuple(_ALPHABET_INDEX[v] for v in self.vars)
         self._outside = tuple(i for i in range(len(ALPHABET)) if i not in self._inside)
 
@@ -131,9 +133,9 @@ class TruncatedSeries:
         cls, profile: TruncationProfile, exponents: Mapping[str, int], coeff: int = 1
     ) -> TruncatedSeries:
         vec = profile.vector(exponents)
-        if vec is None or coeff == 0:
+        if exact_int(coeff) == 0 or vec is None:
             return cls.zero(profile)
-        return cls(profile, {vec: int(coeff)})
+        return cls(profile, {vec: coeff})
 
     def _require_same(self, other: TruncatedSeries) -> None:
         if self.profile != other.profile:
@@ -149,12 +151,6 @@ class TruncatedSeries:
             else:
                 out.pop(vec, None)
         return TruncatedSeries(self.profile, out)
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.profile, {k: -v for k, v in self.coeffs.items()})
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._require_same(other)
@@ -179,9 +175,6 @@ class TruncatedSeries:
         vec = self.profile.vector(exponents)
         return 0 if vec is None else self.coeffs.get(vec, 0)
 
-    def constant_term(self) -> int:
-        return self.coeffs.get(self.profile.zero(), 0)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -203,16 +196,6 @@ class TruncatedSeries:
         vec = min(diff)
         left, right = self.coeffs.get(vec, 0), other.coeffs.get(vec, 0)
         return {"exponents": list(vec), "lhs": str(left), "rhs": str(right)}
-
-    def to_json_dict(self) -> list[dict]:
-        """Sorted [{exponents: {var: int}, coeff: decimal string}] terms."""
-        return [
-            {
-                "exponents": {v: e for v, e in zip(self.profile.vars, vec) if e},
-                "coeff": str(coeff),
-            }
-            for vec, coeff in self.terms()
-        ]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -255,7 +238,7 @@ class FactorProduct:
 
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: int = 1) -> FactorProduct:
-        return cls(coeff, _alphabet_vector(exponents), {})
+        return cls(exact_int(coeff), _alphabet_vector(exponents), {})
 
     @classmethod
     def from_factor(cls, exponents: Mapping[str, int], multiplicity: int = 1) -> FactorProduct:
@@ -264,9 +247,9 @@ class FactorProduct:
             raise ValueError("the factor (1 - 1) is forbidden")
         if min(key) < 0:
             raise ValueError("factor exponents must be nonnegative")
-        if multiplicity == 0:
+        if exact_int(multiplicity) == 0:
             return cls.one()
-        return cls(1, _ZERO, {key: int(multiplicity)})
+        return cls(1, _ZERO, {key: multiplicity})
 
     def __mul__(self, other: FactorProduct) -> FactorProduct:
         factors = dict(self.factors)
@@ -393,16 +376,6 @@ class FactorProduct:
                 raise NotPolynomialError("monomial denominator does not divide")
             poly = {d + shift: c for d, c in poly.items()}
         return var, poly
-
-    def to_json_dict(self) -> dict:
-        """{prefactor: {coeff, monomial}, factors: [{exponents, multiplicity}]}."""
-        return {
-            "prefactor": {"coeff": str(self.coeff), "monomial": dict(_pairs(self.mono))},
-            "factors": [
-                {"exponents": dict(_pairs(key)), "multiplicity": mult}
-                for key, mult in self._ordered_factors()
-            ],
-        }
 
     def _key(self) -> tuple:
         return (self.coeff, self.mono, tuple(sorted(self.factors.items())))

@@ -148,12 +148,15 @@ def test_tangent(capsys):
 
 
 def test_count_points_grid(capsys):
-    code, out = _run(capsys, ["count-points", "--grid", "[[1,1]]", "--p", "3"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["payload"]["count"] == "2"
-    assert report["payload"]["predicted"] == "2"
-    assert report["outcome"] == "match"
+    # [[4,3]] and [[4],[3]] have no commuting square: one 3x4 map each, whose
+    # 3^12 matrices are streamed, never tabulated
+    for grid, count in (("[[1,1]]", "2"), ("[[4,3]]", "449280"), ("[[4],[3]]", "449280")):
+        code, out = _run(capsys, ["count-points", "--grid", grid, "--p", "3"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["payload"]["count"] == count
+        assert report["payload"]["predicted"] == count
+        assert report["outcome"] == "match"
 
 
 def test_count_points_chain_with_h(capsys):

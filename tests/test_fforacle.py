@@ -322,5 +322,26 @@ def test_oversized_stage_refused(monkeypatch):
     try:
         with pytest.raises(BudgetExceededError):
             count_chain_points(ChainInstance((2, 1), (1, 1)), 5)
+        # with the 2x2 spaces over F_2 already memoized, only the squares'
+        # product tables of 2^4 entries meet the limit
+        grid = GridInstance(PlanePartition([[2, 2], [2, 2]]))
+        monkeypatch.setattr(fforacle, "_TABLE_LIMIT", 64)
+        expected = count_grid_points(grid, 2)
+        monkeypatch.setattr(fforacle, "_TABLE_LIMIT", 15)
+        with pytest.raises(BudgetExceededError, match="2x2 over F_2"):
+            count_grid_points(grid, 2)
+        monkeypatch.setattr(fforacle, "_TABLE_LIMIT", 16)
+        assert count_grid_points(grid, 2) == expected
     finally:
         fforacle._surjective_space.cache_clear()
+
+
+# every plane partition with |pi| <= 10 whose squares close a cycle
+CYCLE_GRIDS = [pi for w in range(11) for pi in enumerate_plane_partitions(w) if pi.entry(2, 2) > 0]
+
+
+@pytest.mark.parametrize("pi", CYCLE_GRIDS, ids=lambda pi: str(pi.to_lists()).replace(" ", ""))
+def test_grid_with_cycle_of_squares(pi):
+    assert len(CYCLE_GRIDS) == 4
+    assert count_grid_points(GridInstance(pi), 2) == _naive_grid_count(pi, 2)
+    assert count_grid_points(GridInstance(pi), 3) == commuting_grid_class(pi).evaluate(3)

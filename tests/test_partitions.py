@@ -69,6 +69,13 @@ def test_max_first_entry_restricts_to_diagrams():
     assert all(p.first_entry <= 1 for p in pps)
 
 
+@pytest.mark.parametrize("n, bound", [(3, 1.5), (3, True), (2.5, None)])
+def test_enumeration_rejects_non_integers(n, bound):
+    # a bound of 1.5 ran as 1 before
+    with pytest.raises(ValueError, match="expected an integer"):
+        list(enumerate_plane_partitions(n, max_first_entry=bound))
+
+
 def test_enumeration_is_restartable_and_deterministic():
     first = [p.to_lists() for p in enumerate_plane_partitions(5)]
     second = [p.to_lists() for p in enumerate_plane_partitions(5)]

@@ -35,7 +35,8 @@ def test_basic_products():
     p = TruncationProfile(q=2)
     one = TruncatedSeries.one(p)
     q = TruncatedSeries.monomial(p, {"q": 1})
-    assert ((one + q) * (one - q)).terms() == [((0,), 1), ((2,), -1)]
+    minus_q = TruncatedSeries.monomial(p, {"q": 1}, -1)
+    assert ((one + q) * (one + minus_q)).terms() == [((0,), 1), ((2,), -1)]
     assert (one + q) + TruncatedSeries.zero(p) == one + q
 
 
@@ -112,7 +113,7 @@ def test_q_factorial_structure():
         series = q_factorial(n).expand(TruncationProfile(q=n * (n + 1) // 2 + 1))
         degrees = [vec[0] for vec, _ in series.terms()]
         assert max(degrees, default=0) == n * (n + 1) // 2
-        assert series.constant_term() == 1
+        assert series.coefficient({}) == 1
 
 
 def _brute_force_gl_count(n, p):
@@ -193,20 +194,21 @@ def test_profile_validation():
         p.cap("t")
 
 
-def test_series_json_schema():
-    p = TruncationProfile(q=2, t=1)
-    s = TruncatedSeries.one(p) - TruncatedSeries.monomial(p, {"q": 2, "t": 1}, 3)
-    assert s.to_json_dict() == [
-        {"exponents": {}, "coeff": "1"},
-        {"exponents": {"q": 2, "t": 1}, "coeff": "-3"},
-    ]
-
-
-def test_factor_product_json_schema():
-    fp = gl_class(2)
-    doc = fp.to_json_dict()
-    assert doc["prefactor"] == {"coeff": "1", "monomial": {"L": 1}}
-    assert doc["factors"] == [
-        {"exponents": {"L": 1}, "multiplicity": 1},
-        {"exponents": {"L": 2}, "multiplicity": 1},
-    ]
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TruncationProfile(q=2.5),
+        lambda: TruncationProfile(q=True),
+        lambda: FactorProduct.from_factor({"q": 1.7}),
+        lambda: FactorProduct.monomial({"q": 2.5}),
+        lambda: FactorProduct.monomial({"q": 1}, 1.0),
+        lambda: FactorProduct.from_factor({"q": 1}, 1.5),
+        lambda: TruncatedSeries.monomial(TruncationProfile(q=2), {"q": 1}, coeff=1.5),
+    ],
+    ids=["cap-float", "cap-bool", "factor-exponent", "monomial-exponent",
+         "monomial-coeff", "multiplicity", "series-coeff"],
+)
+def test_non_integer_input_rejected(call):
+    # each was coerced by int() before: cap 2, cap 1, exponent 1, q^2, 1, 1, 1
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()

@@ -32,7 +32,7 @@ def naive_expand(raw, profile: TruncationProfile) -> TruncatedSeries:
     for exps, mult in factors:
         x = TruncatedSeries.monomial(profile, exps)
         if mult > 0:
-            term = one - x
+            term = one + TruncatedSeries.monomial(profile, exps, -1)
         else:
             term, power = one, one
             while not power.is_zero():
