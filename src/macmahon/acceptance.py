@@ -34,20 +34,22 @@ from .partitions import (
 )
 from .series import FactorProduct, TruncationProfile
 from .torus import attracting_dimension, positive_weight_count, tangent_character
-from .vuletic import vuletic_lhs, vuletic_rhs
+from .vuletic import check_partition_sum, vuletic_lhs, vuletic_rhs
 
 MACMAHON_COUNTS = (1, 1, 3, 6, 13, 24, 48, 86, 160)
 
 
 def check_macmahon_baseline(order: int = 8) -> dict:
     """Enumerator counts against the series expansion of prod (1-s^k)^-k."""
+    profile = TruncationProfile(s=order)
+    check_partition_sum(order, profile)
     counts = [
         sum(1 for _ in enumerate_plane_partitions(n)) for n in range(order + 1)
     ]
     fp = FactorProduct.one()
     for k in range(1, order + 1):
         fp = fp * FactorProduct.from_factor({"s": k}, -k)
-    series = fp.expand(TruncationProfile(s=order))
+    series = fp.expand(profile)
     expanded = [series.coefficient({"s": n}) for n in range(order + 1)]
     # the known counts check the prefix they cover; beyond it the two
     # computations are held to each other alone

@@ -23,6 +23,7 @@ import numpy as np
 
 from .motivic import _normalize_chain, commuting_grid_class, surjective_chain_class
 from .partitions import PlanePartition, exact_ints
+from .series import BudgetExceededError
 
 DEFAULT_BUDGET = 10**8
 
@@ -39,10 +40,6 @@ _CHUNK_MATRICES = 1 << 13
 _CHUNK_KEYS = 1 << 15
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class BudgetExceededError(RuntimeError):
-    """The raw search space exceeds the instance budget."""
 
 
 def _check_budget(budget: int) -> None:

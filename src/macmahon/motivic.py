@@ -20,7 +20,7 @@ from .series import (
     gl_class,
     q_factorial,
 )
-from .vuletic import vuletic_weight_t0
+from .vuletic import check_partition_sum, vuletic_weight_t0
 
 
 class MotivicClass:
@@ -44,10 +44,6 @@ class MotivicClass:
     def certify(self) -> MotivicClass:
         self.polynomial()
         return self
-
-    def series(self, cap: int) -> TruncatedSeries:
-        """Expansion as a power series in L up to the cap."""
-        return self.factors.expand(TruncationProfile(L=cap))
 
     def evaluate(self, x: int) -> int:
         poly = self.polynomial()
@@ -162,21 +158,6 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
     return MotivicClass(fp).certify()
 
 
-def chain_bookkeeping_identity(r: int, pi: PlanePartition) -> bool:
-    """Exact factored-form consistency between the two class formulas:
-
-    fixed component class = grid class * (class of surjections from rank r
-    onto the corner stage) / prod over boxes of [GL_a].
-    """
-    a = pi.first_entry
-    surj = q_factorial(r, "L") * gl_class(a)
-    surj = surj / (q_factorial(a, "L") * q_factorial(r - a, "L"))
-    expected = commuting_grid_class(pi).factors * surj
-    for i, j in pi.support():
-        expected = expected / gl_class(pi.entry(i, j))
-    return expected == fixed_component_class(r, pi).factors
-
-
 def moduli_space_class(r: int, n: int) -> dict[int, int]:
     """Coefficient of t^n in prod_{m<=r} prod_{k>=1} 1/(1 - L^(rk+m) t^k).
 
@@ -245,6 +226,7 @@ def refined_macmahon_lhs(r: int | None, t_order: int, q_order: int) -> Truncated
     prefactor is 1 and the corner constraint is vacuous.
     """
     profile = TruncationProfile(q=q_order, t=t_order)
+    check_partition_sum(t_order, profile)
     total = TruncatedSeries.zero(profile)
     for w in range(t_order + 1):
         for pi in enumerate_plane_partitions(w, max_first_entry=r):
@@ -281,6 +263,7 @@ def refined_macmahon_check(r: int | None, t_order: int, q_order: int) -> dict:
 def limit_series_lhs(t_order: int, l_order: int) -> TruncatedSeries:
     """sum_n t^n * sum_{|pi| = n} (limit class of pi) expanded in L."""
     profile = TruncationProfile(t=t_order, L=l_order)
+    check_partition_sum(t_order, profile)
     total = TruncatedSeries.zero(profile)
     for w in range(t_order + 1):
         for pi in enumerate_plane_partitions(w):
@@ -311,6 +294,8 @@ def limit_series_check(t_order: int, l_order: int) -> dict:
 def limit_class_check(max_weight: int, l_order: int) -> dict:
     """Per-partition comparison of the t = 0 weight (q renamed to L) against
     the large-rank limit class, both as factored forms and as expansions."""
+    profile = TruncationProfile(L=l_order)
+    check_partition_sum(max_weight, profile)
     checked = 0
     factored_matches = 0
     failures: list[list[list[int]]] = []
@@ -321,7 +306,6 @@ def limit_class_check(max_weight: int, l_order: int) -> dict:
             rhs = limit_class(pi).factors
             if lhs == rhs:
                 factored_matches += 1
-            profile = TruncationProfile(L=l_order)
             if lhs.expand(profile) != rhs.expand(profile):
                 failures.append(pi.to_lists())
     return {

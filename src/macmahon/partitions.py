@@ -142,21 +142,11 @@ class PlanePartition:
         """The corner entry; bounds every other entry."""
         return self.entry(0, 0)
 
-    def is_empty(self) -> bool:
-        return not self.rows
-
     def support(self) -> Iterator[tuple[int, int]]:
         """Boxes with a positive entry, in row-major order."""
         for i, row in enumerate(self.rows):
             for j in range(len(row)):
                 yield (i, j)
-
-    def transpose(self) -> PlanePartition:
-        if not self.rows:
-            return self
-        width = len(self.rows[0])
-        out = [[self.entry(i, j) for i in range(len(self.rows))] for j in range(width)]
-        return PlanePartition(out)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]

@@ -9,9 +9,14 @@ denominators is exact multiset arithmetic.
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
+from itertools import product
+from math import prod
 from operator import add, neg
+from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 from .partitions import exact_int
 
@@ -26,9 +31,18 @@ Vector = tuple[int, int, int, int]
 
 _ZERO: Vector = (0, 0, 0, 0)
 
+# Most cells prod(cap + 1) of a profile, and most slice updates times cells
+# of one expansion; past either, BudgetExceededError.
+CELL_LIMIT = 10**6
+EXPAND_LIMIT = 10**9
+
 
 class NotPolynomialError(ValueError):
     """A factored product failed exact polynomial division."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A run would exceed a fixed budget of work or memory."""
 
 
 def _index(var: str) -> int:
@@ -48,16 +62,16 @@ def _alphabet_vector(exponents: Mapping[str, int]) -> Vector:
 def _pairs(vec: Vector) -> tuple[tuple[str, int], ...]:
     """The nonzero (variable, exponent) pairs of a vector, in ALPHABET order.
 
-    Also the sort key that orders factors for expansion and display; the
-    multiplication order it fixes keeps the intermediate series small.
+    Also the sort key that orders factors for certification and display.
     """
     return tuple((v, e) for v, e in zip(ALPHABET, vec) if e)
 
 
 class TruncationProfile:
-    """Per-variable exponent caps; variables not listed are disallowed."""
+    """Per-variable exponent caps; variables not listed are disallowed. A
+    profile of more than CELL_LIMIT cells is refused when it is built."""
 
-    __slots__ = ("vars", "caps", "_inside", "_outside")
+    __slots__ = ("vars", "caps", "cells", "_inside", "_outside")
 
     def __init__(self, **caps: int):
         for var, cap in caps.items():
@@ -66,6 +80,11 @@ class TruncationProfile:
                 raise ValueError(f"cap for {var!r} must be nonnegative")
         self.vars: tuple[str, ...] = tuple(v for v in ALPHABET if v in caps)
         self.caps: tuple[int, ...] = tuple(caps[v] for v in self.vars)
+        self.cells = prod(c + 1 for c in self.caps)
+        if self.cells > CELL_LIMIT:
+            raise BudgetExceededError(
+                f"{self!r} has {self.cells} cells, over the limit {CELL_LIMIT}"
+            )
         self._inside = tuple(_ALPHABET_INDEX[v] for v in self.vars)
         self._outside = tuple(i for i in range(len(ALPHABET)) if i not in self._inside)
 
@@ -74,12 +93,6 @@ class TruncationProfile:
             return self.caps[self.vars.index(var)]
         except ValueError:
             raise ValueError(f"variable {var!r} not allowed by profile {self!r}") from None
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.vars)
-
-    def admits(self, vec: tuple[int, ...]) -> bool:
-        return all(0 <= e <= c for e, c in zip(vec, self.caps))
 
     def coordinates(self, vec: Vector) -> tuple[int, ...] | None:
         """This profile's exponent vector for an ALPHABET vector, or None
@@ -90,7 +103,7 @@ class TruncationProfile:
         out = tuple(vec[i] for i in self._inside)
         if any(e < 0 for e in out):
             raise ValueError(f"negative exponent in {dict(_pairs(vec))}")
-        return out if self.admits(out) else None
+        return out if all(e <= c for e, c in zip(out, self.caps)) else None
 
     def vector(self, exponents: Mapping[str, int]) -> tuple[int, ...] | None:
         """Full exponent vector for this profile, or None when beyond caps."""
@@ -125,10 +138,6 @@ class TruncatedSeries:
         return cls(profile)
 
     @classmethod
-    def one(cls, profile: TruncationProfile) -> TruncatedSeries:
-        return cls(profile, {profile.zero(): 1})
-
-    @classmethod
     def monomial(
         cls, profile: TruncationProfile, exponents: Mapping[str, int], coeff: int = 1
     ) -> TruncatedSeries:
@@ -152,34 +161,9 @@ class TruncatedSeries:
                 out.pop(vec, None)
         return TruncatedSeries(self.profile, out)
 
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._require_same(other)
-        caps = self.profile.caps
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                vec = tuple(x + y for x, y in zip(e1, e2))
-                if any(x > c for x, c in zip(vec, caps)):
-                    continue
-                nc = out.get(vec, 0) + c1 * c2
-                if nc:
-                    out[vec] = nc
-                else:
-                    del out[vec]
-        return TruncatedSeries(self.profile, out)
-
     def coefficient(self, exponents: Mapping[str, int]) -> int:
         vec = self.profile.vector(exponents)
         return 0 if vec is None else self.coeffs.get(vec, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {self.profile.zero(): 1}
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Sorted (exponent vector, coefficient) pairs; deterministic."""
@@ -230,7 +214,8 @@ class FactorProduct:
             raise ValueError("prefactor coefficient must be +1 or -1")
         self.coeff = coeff
         self.mono = mono
-        self.factors: dict[Vector, int] = dict(factors or {})
+        # read-only, so that memoized products can be shared
+        self.factors: Mapping[Vector, int] = MappingProxyType(dict(factors or {}))
 
     @classmethod
     def one(cls) -> FactorProduct:
@@ -252,7 +237,7 @@ class FactorProduct:
         return cls(1, _ZERO, {key: multiplicity})
 
     def __mul__(self, other: FactorProduct) -> FactorProduct:
-        factors = dict(self.factors)
+        factors = self.factors.copy()
         for key, m in other.factors.items():
             nm = factors.get(key, 0) + m
             if nm:
@@ -312,38 +297,45 @@ class FactorProduct:
         return sorted(self.factors.items(), key=lambda item: _pairs(item[0]))
 
     def expand(self, profile: TruncationProfile) -> TruncatedSeries:
-        """Exact expansion truncated to the profile.
+        """Exact expansion truncated to the profile, on one dense array of
+        Python ints that starts at the monomial (no cell below it is reached).
 
-        A factor whose lowest monomial already exceeds the caps contributes
-        1. Negative multiplicities expand through the binomial series
-        (1 - u)^-n = sum_k C(n+k-1, k) u^k, exact over the integers.
+        (1 - x^e)^m with m > 0 is m in-place updates a[e:] -= a[:-e]; numpy
+        buffers the overlapping operands, so each reads the old values. With
+        m < 0 it is -m rounds of prod_j (1 + x^(2^j e)), one slice add per
+        doubling that fits. A factor that does not fit contributes 1. Past
+        EXPAND_LIMIT the expansion is refused before the array exists.
         """
         if min(self.mono) < 0:
             raise ValueError("negative exponent in monomial prefactor; cannot expand")
         start = profile.coordinates(self.mono)
-        series = TruncatedSeries(profile, {} if start is None else {start: self.coeff})
-        for key, mult in self._ordered_factors():
-            if series.is_zero():
-                break
+        if start is None:
+            return TruncatedSeries(profile)
+        shape = tuple(c - s + 1 for c, s in zip(profile.caps, start))
+        steps, updates = [], 0
+        for key, mult in self.factors.items():
             vec = profile.coordinates(key)
-            if vec is None:
-                continue
-            kmax = min(c // e for e, c in zip(vec, profile.caps) if e > 0)
-            if kmax == 0:
-                continue
-            if mult > 0:
-                top = min(kmax, mult)
-                poly = {
-                    tuple(k * x for x in vec): comb(mult, k) * (-1) ** k
-                    for k in range(top + 1)
-                }
-            else:
-                poly = {
-                    tuple(k * x for x in vec): comb(-mult + k - 1, k)
-                    for k in range(kmax + 1)
-                }
-            series = series * TruncatedSeries(profile, poly)
-        return series
+            shifts = []
+            while vec is not None and all(e < n for e, n in zip(vec, shape)):
+                shifts.append((tuple(slice(e, None) for e in vec),
+                               tuple(slice(0, n - e) for e, n in zip(vec, shape))))
+                vec = tuple(2 * e for e in vec) if mult < 0 else None
+            if shifts:
+                steps.append((np.subtract if mult > 0 else np.add, shifts, abs(mult)))
+                updates += len(shifts) * abs(mult)
+        if updates * prod(shape) > EXPAND_LIMIT:
+            raise BudgetExceededError(
+                f"{updates} slice updates of {prod(shape)} cells exceed the limit {EXPAND_LIMIT}"
+            )
+        a = np.zeros(shape, dtype=object)
+        a[(0,) * len(shape)] = self.coeff
+        for ufunc, shifts, rounds in steps:
+            for _ in range(rounds):
+                for hi, lo in shifts:
+                    view = a[hi]
+                    ufunc(view, a[lo], out=view)
+        cells = product(*(range(s, c + 1) for s, c in zip(start, profile.caps)))
+        return TruncatedSeries(profile, {k: c for k, c in zip(cells, a.ravel().tolist()) if c})
 
     def to_polynomial(self) -> tuple[str | None, dict[int, int]]:
         """Certify the product as a univariate polynomial.
@@ -421,8 +413,9 @@ def _div_one_minus(poly: dict[int, int], e: int) -> dict[int, int]:
     return q
 
 
+@lru_cache(maxsize=None, typed=True)
 def q_factorial(n: int, var: str = "q") -> FactorProduct:
-    """(1 - x)(1 - x^2)...(1 - x^n); the empty product 1 for n = 0."""
+    """(1 - x)(1 - x^2)...(1 - x^n); the empty product 1 for n = 0. Shared."""
     if n < 0:
         raise ValueError("q-factorial needs a nonnegative order")
     out = FactorProduct.one()
@@ -431,11 +424,12 @@ def q_factorial(n: int, var: str = "q") -> FactorProduct:
     return out
 
 
+@lru_cache(maxsize=None, typed=True)
 def gl_class(n: int) -> FactorProduct:
     """Class of the invertible n x n matrices, prod_{i<n} (L^n - L^i).
 
     Normalized to the factored form (-1)^n L^(n(n-1)/2) (1-L)...(1-L^n),
-    which keeps the sign bookkeeping exact.
+    which keeps the sign bookkeeping exact. Shared, like q_factorial.
     """
     if n < 0:
         raise ValueError("gl_class needs a nonnegative rank")

@@ -4,17 +4,42 @@ sides of the weighted MacMahon identity
     sum_pi F_pi(q, t) s^|pi|  =  prod_{n>=1} prod_{k>=0} ((1 - t s^n q^k) / (1 - s^n q^k))^n.
 
 Weights are kept in factored form end to end; expansion happens only at the
-identity-verification boundary.
+identity-verification boundary, from memoized, shared read-only products.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .partitions import PlanePartition, diagonal_partitions, enumerate_plane_partitions
-from .series import FactorProduct, TruncatedSeries, TruncationProfile
+from .series import BudgetExceededError, FactorProduct, TruncatedSeries, TruncationProfile
+
+# Most work a sum over plane partitions may do: the partitions of size at
+# most the order times the cells of the profile (605,836 at s10 q6 t6).
+SUM_LIMIT = 10**7
 
 
+def check_partition_sum(order: int, profile: TruncationProfile) -> None:
+    """Refuse (BudgetExceededError), before any is enumerated, a sum over the
+    plane partitions of size <= order whose count times cells passes
+    SUM_LIMIT. The counts a_n of MacMahon's series prod_k (1 - s^k)^-k come
+    from its log-derivative, n a_n = sum_{j<=n} sigma_2(j) a_{n-j}."""
+    most = SUM_LIMIT // profile.cells
+    counts = [1]
+    while len(counts) <= order and sum(counts) <= most:
+        n = len(counts)
+        sigma2 = [sum(d * d for d in range(1, j + 1) if j % d == 0) for j in range(n + 1)]
+        counts.append(sum(sigma2[j] * counts[n - j] for j in range(1, n + 1)) // n)
+    if sum(counts) > most:
+        raise BudgetExceededError(
+            f"{sum(counts)} or more plane partitions of size <= {order} times"
+            f" {profile.cells} cells exceed the limit {SUM_LIMIT}"
+        )
+
+
+@lru_cache(maxsize=None, typed=True)
 def little_f(n: int, m: int) -> FactorProduct:
-    """prod_{i<n} (1 - q^i t^(m+1)) / (1 - q^(i+1) t^m); 1 when n = 0."""
+    """prod_{i<n} (1 - q^i t^(m+1)) / (1 - q^(i+1) t^m); 1 when n = 0. Shared."""
     if n < 0 or m < 0:
         raise ValueError("little_f needs nonnegative arguments")
     out = FactorProduct.one()
@@ -24,16 +49,19 @@ def little_f(n: int, m: int) -> FactorProduct:
     return out
 
 
+@lru_cache(maxsize=None)
+def _level_ratio(a: int, b: int, c: int, d: int, m: int) -> FactorProduct:
+    return little_f(a, m) * little_f(b, m) / (little_f(c, m) * little_f(d, m))
+
+
 def _level_factor(top: int, lam, mu, nu, m: int) -> FactorProduct:
-    args = (
+    return _level_ratio(
         top - mu.part(m + 1),
         top - nu.part(m + 1),
         top - lam.part(m + 1),
         top - lam.part(m + 2),
+        m,
     )
-    num = little_f(args[0], m) * little_f(args[1], m)
-    den = little_f(args[2], m) * little_f(args[3], m)
-    return num / den
 
 
 def box_weight(pi: PlanePartition, i: int, j: int, levels: int | None = None) -> FactorProduct:
@@ -74,6 +102,7 @@ def vuletic_lhs(s_order: int, profile: TruncationProfile) -> TruncatedSeries:
     """Sum over all plane partitions of weight(pi) * s^|pi|, to the caps."""
     if profile.cap("s") != s_order:
         raise ValueError("profile must cap s at the requested order")
+    check_partition_sum(s_order, profile)
     total = TruncatedSeries.zero(profile)
     for w in range(s_order + 1):
         for pi in enumerate_plane_partitions(w):

@@ -1,0 +1,30 @@
+"""Naive references and helpers that only the tests use: the dict
+convolution of truncated series (the reference of the dense expansion
+kernel) and the transpose of a plane partition."""
+
+from macmahon.partitions import PlanePartition
+from macmahon.series import TruncatedSeries, TruncationProfile
+
+
+def one(profile: TruncationProfile) -> TruncatedSeries:
+    return TruncatedSeries(profile, {(0,) * len(profile.vars): 1})
+
+
+def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Every pair of terms, products past the caps dropped."""
+    if a.profile != b.profile:
+        raise ValueError(f"profile mismatch: {a.profile!r} vs {b.profile!r}")
+    caps = a.profile.caps
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            vec = tuple(x + y for x, y in zip(e1, e2))
+            if all(x <= c for x, c in zip(vec, caps)):
+                out[vec] = out.get(vec, 0) + c1 * c2
+    return TruncatedSeries(a.profile, {v: c for v, c in out.items() if c})
+
+
+def transpose(pi: PlanePartition) -> PlanePartition:
+    rows = pi.to_lists()
+    width = len(rows[0]) if rows else 0
+    return PlanePartition([[pi.entry(i, j) for i in range(len(rows))] for j in range(width)])

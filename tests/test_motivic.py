@@ -2,7 +2,6 @@ import pytest
 
 from macmahon.motivic import (
     bb_identity_check,
-    chain_bookkeeping_identity,
     commuting_grid_class,
     fixed_component_class,
     limit_class,
@@ -15,7 +14,7 @@ from macmahon.motivic import (
     surjective_chain_class,
 )
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
-from macmahon.series import TruncationProfile
+from macmahon.series import TruncationProfile, gl_class, q_factorial
 from macmahon.vuletic import vuletic_weight_t0
 
 
@@ -52,14 +51,14 @@ def test_class_structure_small():
 
 def test_limit_class_values():
     assert limit_class(PlanePartition()).factors.is_one()
-    series = limit_class(PlanePartition([[1]])).series(6)
+    series = limit_class(PlanePartition([[1]])).factors.expand(TruncationProfile(L=6))
     assert series.terms() == [((k,), 1) for k in range(7)]
 
 
 def test_limit_class_series_has_nonnegative_coefficients():
     for n in range(6):
         for pi in enumerate_plane_partitions(n):
-            series = limit_class(pi).series(12)
+            series = limit_class(pi).factors.expand(TruncationProfile(L=12))
             assert all(c >= 0 for _, c in series.terms())
             assert series.coefficient({}) == 1
 
@@ -111,6 +110,21 @@ def test_grid_class_examples():
     # (1 - L^2)^2
     assert commuting_grid_class(PlanePartition([[2, 1], [1]])).polynomial() == {0: 1, 2: -2, 4: 1}
     assert commuting_grid_class(PlanePartition([[1, 1], [1, 1]])).evaluate(3) == (3 - 1) ** 3
+
+
+def chain_bookkeeping_identity(r, pi):
+    """Exact factored-form consistency between the two class formulas:
+
+    fixed component class = grid class * (class of surjections from rank r
+    onto the corner stage) / prod over boxes of [GL_a].
+    """
+    a = pi.first_entry
+    surj = q_factorial(r, "L") * gl_class(a)
+    surj = surj / (q_factorial(a, "L") * q_factorial(r - a, "L"))
+    expected = commuting_grid_class(pi).factors * surj
+    for i, j in pi.support():
+        expected = expected / gl_class(pi.entry(i, j))
+    return expected == fixed_component_class(r, pi).factors
 
 
 def test_chain_bookkeeping_identity():

