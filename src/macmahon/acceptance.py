@@ -46,9 +46,7 @@ def check_macmahon_baseline(order: int = 8) -> dict:
     counts = [
         sum(1 for _ in enumerate_plane_partitions(n)) for n in range(order + 1)
     ]
-    fp = FactorProduct.one()
-    for k in range(1, order + 1):
-        fp = fp * FactorProduct.from_factor({"s": k}, -k)
+    fp = FactorProduct.prod((), (FactorProduct.from_factor({"s": k}, k) for k in range(1, order + 1)))
     series = fp.expand(profile)
     expanded = [series.coefficient({"s": n}) for n in range(order + 1)]
     # the known counts check the prefix they cover; beyond it the two

@@ -32,7 +32,9 @@ from .partitions import (
     chi,
     enumerate_plane_partitions,
 )
+from .series import TruncationProfile
 from .torus import attracting_dimension, positive_weight_count, tangent_character
+from .vuletic import check_partition_sum
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -66,6 +68,7 @@ def _parse_tuple(text: str) -> DiagramTuple:
 
 
 def _run_enumerate(args) -> tuple[int, dict]:
+    check_partition_sum(args.n, TruncationProfile())
     partitions = list(enumerate_plane_partitions(args.n, args.max_entry))
     payload = {
         "count": len(partitions),
@@ -103,6 +106,7 @@ def _run_verify(args) -> tuple[int, dict]:
 def _run_classes(args) -> tuple[int, dict]:
     if args.r is None:
         raise ValueError("class tables need a finite rank")
+    check_partition_sum(args.n, TruncationProfile())
     rows = []
     for pi in enumerate_plane_partitions(args.n, max_first_entry=args.r):
         poly = fixed_component_class(args.r, pi).polynomial()

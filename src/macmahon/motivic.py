@@ -73,13 +73,12 @@ def identity_report(lhs: TruncatedSeries, rhs: TruncatedSeries, **params) -> dic
 def _box_factorial_ratio(pi: PlanePartition, var: str = "L") -> FactorProduct:
     # prod over boxes of [a - diag]! / ([a - below]! [a - right]!) with
     # a = pi[i,j]; boxes outside the support contribute 1.
-    out = FactorProduct.one()
-    for i, j in pi.support():
-        a = pi.entry(i, j)
-        out = out * q_factorial(a - pi.entry(i + 1, j + 1), var)
-        out = out / q_factorial(a - pi.entry(i + 1, j), var)
-        out = out / q_factorial(a - pi.entry(i, j + 1), var)
-    return out
+    boxes = list(pi.support())
+    return FactorProduct.prod(
+        (q_factorial(pi.entry(i, j) - pi.entry(i + 1, j + 1), var) for i, j in boxes),
+        (q_factorial(pi.entry(i, j) - pi.entry(i + di, j + dj), var)
+         for i, j in boxes for di, dj in ((1, 0), (0, 1))),
+    )
 
 
 def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
@@ -93,9 +92,9 @@ def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
         raise ValueError("rank must be positive")
     if pi.first_entry > r:
         raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")
-    fp = q_factorial(r, "L") / q_factorial(r - pi.first_entry, "L")
-    fp = fp * _box_factorial_ratio(pi)
-    return MotivicClass(fp).certify()
+    return MotivicClass(FactorProduct.prod(
+        (q_factorial(r, "L"), _box_factorial_ratio(pi)), (q_factorial(r - pi.first_entry, "L"),)
+    )).certify()
 
 
 def limit_class(pi: PlanePartition) -> MotivicClass:
@@ -134,13 +133,13 @@ def surjective_chain_class(mu: Sequence[int], nu: Sequence[int]) -> MotivicClass
     Independent of the choice of the fixed surjections. Certified polynomial.
     """
     mu_t, nu_t = _normalize_chain(mu, nu)
-    fp = q_factorial(mu_t[0], "L") * gl_class(nu_t[0])
-    fp = fp / (q_factorial(nu_t[0], "L") * q_factorial(mu_t[0] - nu_t[0], "L"))
-    for i in range(len(mu_t) - 1):
-        fp = fp * q_factorial(mu_t[i] - nu_t[i + 1], "L") * gl_class(mu_t[i + 1])
-        fp = fp / q_factorial(mu_t[i] - mu_t[i + 1], "L")
-        fp = fp / q_factorial(mu_t[i + 1] - nu_t[i + 1], "L")
-    return MotivicClass(fp).certify()
+    stages = list(zip(mu_t, mu_t[1:], nu_t[1:]))  # (mu_i, mu_{i+1}, nu_{i+1})
+    return MotivicClass(FactorProduct.prod(
+        [q_factorial(mu_t[0], "L"), gl_class(nu_t[0])]
+        + [f for a, b, v in stages for f in (q_factorial(a - v, "L"), gl_class(b))],
+        [q_factorial(d, "L") for d in (nu_t[0], mu_t[0] - nu_t[0])]
+        + [q_factorial(d, "L") for a, b, v in stages for d in (a - b, b - v)],
+    )).certify()
 
 
 def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
@@ -151,11 +150,20 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
 
     Certified polynomial.
     """
-    fp = q_factorial(pi.first_entry, "L") / gl_class(pi.first_entry)
-    fp = fp * _box_factorial_ratio(pi)
-    for i, j in pi.support():
-        fp = fp * gl_class(pi.entry(i, j))
-    return MotivicClass(fp).certify()
+    return MotivicClass(FactorProduct.prod(
+        [q_factorial(pi.first_entry, "L"), _box_factorial_ratio(pi)]
+        + [gl_class(pi.entry(i, j)) for i, j in pi.support()],
+        (gl_class(pi.first_entry),),
+    )).certify()
+
+
+def _moduli_profile(r: int, n: int) -> TruncationProfile:
+    """The caps t = n and L = 2rn of the moduli class of rank r, weight n."""
+    if r < 1:
+        raise ValueError("rank must be positive")
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    return TruncationProfile(t=n, L=2 * r * n)
 
 
 def moduli_space_class(r: int, n: int) -> dict[int, int]:
@@ -164,18 +172,13 @@ def moduli_space_class(r: int, n: int) -> dict[int, int]:
     The coefficient is a polynomial in L of degree exactly 2rn, so the
     L cap 2rn loses nothing.
     """
-    if r < 1:
-        raise ValueError("rank must be positive")
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
+    profile = _moduli_profile(r, n)
     if n == 0:
         return {0: 1}
-    profile = TruncationProfile(t=n, L=2 * r * n)
-    fp = FactorProduct.one()
-    for m in range(1, r + 1):
-        for k in range(1, n + 1):
-            fp = fp * FactorProduct.from_factor({"L": r * k + m, "t": k}, -1)
-    series = fp.expand(profile)
+    series = FactorProduct.prod((), (
+        FactorProduct.from_factor({"L": r * k + m, "t": k})
+        for m in range(1, r + 1) for k in range(1, n + 1)
+    )).expand(profile)
     return {vec[1]: c for vec, c in series.coeffs.items() if vec[0] == n}
 
 
@@ -189,6 +192,7 @@ def bb_identity_check(r: int, n: int) -> dict:
     """
     if r is None:
         raise ValueError("bb verification needs a finite rank")
+    check_partition_sum(n, _moduli_profile(r, n))
     lhs = moduli_space_class(r, n)
     rhs: dict[int, int] = {}
     components = 0
@@ -197,11 +201,8 @@ def bb_identity_check(r: int, n: int) -> dict:
         poly = fixed_component_class(r, pi).polynomial()
         shift = r * n + chi(pi)
         for d, c in poly.items():
-            nc = rhs.get(d + shift, 0) + c
-            if nc:
-                rhs[d + shift] = nc
-            else:
-                del rhs[d + shift]
+            rhs[d + shift] = rhs.get(d + shift, 0) + c
+    rhs = {d: c for d, c in rhs.items() if c}
     report = {
         "r": r,
         "n": n,
@@ -243,11 +244,10 @@ def refined_macmahon_rhs(r: int | None, t_order: int, q_order: int) -> Truncated
     the q cap) in the large-rank limit r = None."""
     profile = TruncationProfile(q=q_order, t=t_order)
     m_top = q_order if r is None else r
-    fp = FactorProduct.one()
-    for k in range(1, t_order + 1):
-        for m in range(1, m_top + 1):
-            fp = fp * FactorProduct.from_factor({"q": m, "t": k}, -1)
-    return fp.expand(profile)
+    return FactorProduct.prod((), (
+        FactorProduct.from_factor({"q": m, "t": k})
+        for k in range(1, t_order + 1) for m in range(1, m_top + 1)
+    )).expand(profile)
 
 
 def refined_macmahon_check(r: int | None, t_order: int, q_order: int) -> dict:
@@ -275,11 +275,10 @@ def limit_series_lhs(t_order: int, l_order: int) -> TruncatedSeries:
 def limit_series_rhs(t_order: int, l_order: int) -> TruncatedSeries:
     """prod_{i>=0, j>=1} 1/(1 - L^i t^j)^j, truncated to the caps."""
     profile = TruncationProfile(t=t_order, L=l_order)
-    fp = FactorProduct.one()
-    for i in range(l_order + 1):
-        for j in range(1, t_order + 1):
-            fp = fp * FactorProduct.from_factor({"L": i, "t": j}, -j)
-    return fp.expand(profile)
+    return FactorProduct.prod((), (
+        FactorProduct.from_factor({"L": i, "t": j}, j)
+        for i in range(l_order + 1) for j in range(1, t_order + 1)
+    )).expand(profile)
 
 
 def limit_series_check(t_order: int, l_order: int) -> dict:

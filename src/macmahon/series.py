@@ -12,9 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
-from operator import add, neg
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -218,10 +217,6 @@ class FactorProduct:
         self.factors: Mapping[Vector, int] = MappingProxyType(dict(factors or {}))
 
     @classmethod
-    def one(cls) -> FactorProduct:
-        return cls()
-
-    @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: int = 1) -> FactorProduct:
         return cls(exact_int(coeff), _alphabet_vector(exponents), {})
 
@@ -233,29 +228,34 @@ class FactorProduct:
         if min(key) < 0:
             raise ValueError("factor exponents must be nonnegative")
         if exact_int(multiplicity) == 0:
-            return cls.one()
+            return cls()
         return cls(1, _ZERO, {key: multiplicity})
 
-    def __mul__(self, other: FactorProduct) -> FactorProduct:
-        factors = self.factors.copy()
-        for key, m in other.factors.items():
-            nm = factors.get(key, 0) + m
-            if nm:
-                factors[key] = nm
-            else:
-                del factors[key]
-        mono = tuple(map(add, self.mono, other.mono))
-        return FactorProduct(self.coeff * other.coeff, mono, factors)
+    @classmethod
+    def prod(
+        cls, numerators: Iterable[FactorProduct], denominators: Iterable[FactorProduct] = ()
+    ) -> FactorProduct:
+        """The numerators' product over the denominators' in one pass: signs multiply,
+        exponents and multiplicities add, and a multiplicity that reaches 0 is dropped."""
+        coeff, mono, factors = 1, _ZERO, {}
+        for sign, group in ((1, numerators), (-1, denominators)):
+            for fp in group:
+                coeff *= fp.coeff
+                if fp.mono != _ZERO:
+                    mono = tuple(a + sign * b for a, b in zip(mono, fp.mono))
+                for key, m in fp.factors.items():
+                    total = factors.get(key, 0) + sign * m
+                    if total:
+                        factors[key] = total
+                    else:
+                        del factors[key]
+        return cls(coeff, mono, factors)
 
-    def inverse(self) -> FactorProduct:
-        return FactorProduct(
-            self.coeff,
-            tuple(map(neg, self.mono)),
-            {k: -m for k, m in self.factors.items()},
-        )
+    def __mul__(self, other: FactorProduct) -> FactorProduct:
+        return FactorProduct.prod((self, other))
 
     def __truediv__(self, other: FactorProduct) -> FactorProduct:
-        return self * other.inverse()
+        return FactorProduct.prod((self,), (other,))
 
     def is_one(self) -> bool:
         return self.coeff == 1 and self.mono == _ZERO and not self.factors
@@ -418,10 +418,7 @@ def q_factorial(n: int, var: str = "q") -> FactorProduct:
     """(1 - x)(1 - x^2)...(1 - x^n); the empty product 1 for n = 0. Shared."""
     if n < 0:
         raise ValueError("q-factorial needs a nonnegative order")
-    out = FactorProduct.one()
-    for i in range(1, n + 1):
-        out = out * FactorProduct.from_factor({var: i})
-    return out
+    return FactorProduct.prod(FactorProduct.from_factor({var: i}) for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -42,16 +42,15 @@ def little_f(n: int, m: int) -> FactorProduct:
     """prod_{i<n} (1 - q^i t^(m+1)) / (1 - q^(i+1) t^m); 1 when n = 0. Shared."""
     if n < 0 or m < 0:
         raise ValueError("little_f needs nonnegative arguments")
-    out = FactorProduct.one()
-    for i in range(n):
-        out = out * FactorProduct.from_factor({"q": i, "t": m + 1})
-        out = out / FactorProduct.from_factor({"q": i + 1, "t": m})
-    return out
+    return FactorProduct.prod(
+        (FactorProduct.from_factor({"q": i, "t": m + 1}) for i in range(n)),
+        (FactorProduct.from_factor({"q": i + 1, "t": m}) for i in range(n)),
+    )
 
 
 @lru_cache(maxsize=None)
 def _level_ratio(a: int, b: int, c: int, d: int, m: int) -> FactorProduct:
-    return little_f(a, m) * little_f(b, m) / (little_f(c, m) * little_f(d, m))
+    return FactorProduct.prod((little_f(a, m), little_f(b, m)), (little_f(c, m), little_f(d, m)))
 
 
 def _level_factor(top: int, lam, mu, nu, m: int) -> FactorProduct:
@@ -64,7 +63,7 @@ def _level_factor(top: int, lam, mu, nu, m: int) -> FactorProduct:
     )
 
 
-def box_weight(pi: PlanePartition, i: int, j: int, levels: int | None = None) -> FactorProduct:
+def box_weight(pi: PlanePartition, i: int, j: int) -> FactorProduct:
     """Weight of box (i, j): the product over levels m of
 
         f(a - mu_{m+1}, m) f(a - nu_{m+1}, m) / (f(a - lam_{m+1}, m) f(a - lam_{m+2}, m))
@@ -76,21 +75,15 @@ def box_weight(pi: PlanePartition, i: int, j: int, levels: int | None = None) ->
     """
     lam, mu, nu = diagonal_partitions(pi, i, j)
     top = lam.part(1)
-    cut = max(len(lam), len(mu), len(nu)) if levels is None else levels
-    out = FactorProduct.one()
-    for m in range(cut):
-        out = out * _level_factor(top, lam, mu, nu, m)
-    if levels is None and not _level_factor(top, lam, mu, nu, cut).is_one():
+    cut = max(len(lam), len(mu), len(nu))
+    if not _level_factor(top, lam, mu, nu, cut).is_one():
         raise RuntimeError(f"box weight cutoff unstable at box ({i}, {j}) of {pi!r}")
-    return out
+    return FactorProduct.prod(_level_factor(top, lam, mu, nu, m) for m in range(cut))
 
 
 def vuletic_weight(pi: PlanePartition) -> FactorProduct:
     """Product of the box weights over the support; 1 for the empty partition."""
-    out = FactorProduct.one()
-    for i, j in pi.support():
-        out = out * box_weight(pi, i, j)
-    return out
+    return FactorProduct.prod(box_weight(pi, i, j) for i, j in pi.support())
 
 
 def vuletic_weight_t0(pi: PlanePartition) -> FactorProduct:
@@ -120,10 +113,8 @@ def vuletic_rhs(s_order: int, profile: TruncationProfile) -> TruncatedSeries:
     """
     if profile.cap("s") != s_order:
         raise ValueError("profile must cap s at the requested order")
-    q_order = profile.cap("q")
-    out = FactorProduct.one()
-    for n in range(1, s_order + 1):
-        for k in range(q_order + 1):
-            out = out * FactorProduct.from_factor({"t": 1, "s": n, "q": k}, n)
-            out = out * FactorProduct.from_factor({"s": n, "q": k}, -n)
-    return out.expand(profile)
+    nk = [(n, k) for n in range(1, s_order + 1) for k in range(profile.cap("q") + 1)]
+    return FactorProduct.prod(
+        (FactorProduct.from_factor({"t": 1, "s": n, "q": k}, n) for n, k in nk),
+        (FactorProduct.from_factor({"s": n, "q": k}, n) for n, k in nk),
+    ).expand(profile)

@@ -1,9 +1,10 @@
 """Naive references and helpers that only the tests use: the dict
 convolution of truncated series (the reference of the dense expansion
-kernel) and the transpose of a plane partition."""
+kernel), the pairwise merge of factored products (the reference of
+FactorProduct.prod) and the transpose of a plane partition."""
 
 from macmahon.partitions import PlanePartition
-from macmahon.series import TruncatedSeries, TruncationProfile
+from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
 
 
 def one(profile: TruncationProfile) -> TruncatedSeries:
@@ -22,6 +23,23 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if all(x <= c for x, c in zip(vec, caps)):
                 out[vec] = out.get(vec, 0) + c1 * c2
     return TruncatedSeries(a.profile, {v: c for v, c in out.items() if c})
+
+
+def factor_mul(a: FactorProduct, b: FactorProduct) -> FactorProduct:
+    """b's multiplicities merged into a copy of a's, one factor at a time."""
+    factors = dict(a.factors)
+    for key, m in b.factors.items():
+        total = factors.get(key, 0) + m
+        if total:
+            factors[key] = total
+        else:
+            del factors[key]
+    mono = tuple(x + y for x, y in zip(a.mono, b.mono))
+    return FactorProduct(a.coeff * b.coeff, mono, factors)
+
+
+def factor_inverse(a: FactorProduct) -> FactorProduct:
+    return FactorProduct(a.coeff, tuple(-e for e in a.mono), {k: -m for k, m in a.factors.items()})
 
 
 def transpose(pi: PlanePartition) -> PlanePartition:

@@ -358,6 +358,28 @@ def test_verify_bb_mismatch_reports_first_difference(capsys, monkeypatch):
     assert '"lhs":[[0,"7"],[4,"1"],[5,"1"],[6,"1"]]' in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "pp", "--n", "40"],
+        ["classes", "--r", "40", "--n", "40"],
+        ["verify", "bb", "--r", "3", "--n", "40"],
+    ],
+)
+def test_enumerations_refused_fast(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("partitions were enumerated")
+
+    for module in (cli, motivic):
+        monkeypatch.setattr(module, "enumerate_plane_partitions", refuse)
+    started = time.perf_counter()
+    code, out = _run(capsys, argv)
+    report = json.loads(out)
+    assert code == 3
+    assert report["outcome"] == "error" and "plane partitions" in report["error"]
+    assert time.perf_counter() - started < 1.0
+
+
 def test_verify_bb_infinite_rank_is_usage_error(capsys):
     code, out = _run(capsys, ["verify", "bb", "--r", "inf"])
     assert code == 2

@@ -19,7 +19,7 @@ from macmahon.series import FactorProduct, TruncationProfile
 
 def _series_counts(order):
     # independent oracle: coefficients of prod_k (1 - s^k)^-k
-    fp = FactorProduct.one()
+    fp = FactorProduct()
     for k in range(1, order + 1):
         fp = fp * FactorProduct.from_factor({"s": k}, -k)
     series = fp.expand(TruncationProfile(s=order))
@@ -111,7 +111,7 @@ def test_diagram_tuple_enumeration():
     r2 = [t.to_lists() for t in enumerate_diagram_tuples(2, 1)]
     assert r2 == [[[1], []], [[], [1]]]
     # oracle: coefficient of x^2 in prod_k (1 - x^k)^-2
-    fp = FactorProduct.one()
+    fp = FactorProduct()
     for k in range(1, 3):
         fp = fp * FactorProduct.from_factor({"s": k}, -2)
     expected = fp.expand(TruncationProfile(s=2)).coefficient({"s": 2})

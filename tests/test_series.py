@@ -23,7 +23,7 @@ def _random_series(profile, rng, terms=4, bound=3):
 
 
 def _random_factor_product(rng, variables=("q", "t"), factors=3):
-    fp = FactorProduct.one()
+    fp = FactorProduct()
     for _ in range(factors):
         exps = {v: rng.randint(0, 2) for v in variables}
         if all(e == 0 for e in exps.values()):
@@ -72,7 +72,7 @@ def test_ring_axioms_randomized():
 
 def test_expand_empty_and_geometric():
     p = TruncationProfile(q=3)
-    assert FactorProduct.one().expand(p) == one(p)
+    assert FactorProduct().expand(p) == one(p)
     geo = FactorProduct.from_factor({"q": 1}, -1).expand(p)
     assert geo.terms() == [((k,), 1) for k in range(4)]
 

@@ -1,9 +1,12 @@
-"""Property tests of FactorProduct against naive TruncatedSeries references."""
+"""Property tests of FactorProduct against naive references: TruncatedSeries
+products for the expansion, the pairwise merge for FactorProduct.prod."""
+
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import mul, one
+from reference import factor_inverse, factor_mul, mul, one
 
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
 
@@ -54,9 +57,32 @@ def test_group_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert (a / a).is_one()
-    assert a * FactorProduct.one() == a
-    assert a.inverse().inverse() == a
-    assert (a * b).inverse() == a.inverse() * b.inverse()
+    assert a * FactorProduct() == a
+    assert FactorProduct() / (FactorProduct() / a) == a
+    assert FactorProduct() / (a * b) == factor_mul(factor_inverse(a), factor_inverse(b))
+
+
+@settings_
+@given(st.lists(products, max_size=5), st.lists(products, max_size=5), st.data())
+def test_prod_matches_pairwise_merge(nums, dens, data):
+    # dividing again by some numerators drives their factors to multiplicity 0
+    if nums:
+        dens = dens + data.draw(st.lists(st.sampled_from(nums), max_size=3))
+    expected = reduce(factor_mul, nums + [factor_inverse(d) for d in dens], FactorProduct())
+    got = FactorProduct.prod(iter(nums), iter(dens))
+    assert got == expected
+    assert 0 not in got.factors.values()
+    assert FactorProduct.prod(nums + dens, dens) == reduce(factor_mul, nums, FactorProduct())
+
+
+def test_prod_edge_cases():
+    x = FactorProduct.from_factor({"q": 1, "t": 2}, 3)
+    minus_s = FactorProduct.monomial({"s": 2}, -1)
+    assert FactorProduct.prod(()).is_one()
+    assert FactorProduct.prod((x, x), (x, x)).factors == {}
+    assert FactorProduct.prod((x,), (x, x)).factors == {(1, 2, 0, 0): -3}
+    assert FactorProduct.prod((minus_s, minus_s)) == FactorProduct.monomial({"s": 4})
+    assert FactorProduct.prod((), (minus_s,)) == FactorProduct(-1, (0, 0, -2, 0))
 
 
 @settings_

@@ -80,9 +80,10 @@ def no_enumeration(monkeypatch):
         lambda: motivic.limit_series_lhs(30, 4),
         lambda: motivic.limit_class_check(40, 8),
         lambda: acceptance.check_macmahon_baseline(100_000),
+        lambda: motivic.bb_identity_check(3, 40),
     ],
     ids=["vuletic-s30", "vuletic-wide", "vuletic-huge-s", "refined", "limit-series",
-         "limit-class", "macmahon"],
+         "limit-class", "macmahon", "bb"],
 )
 def test_partition_sum_refused_before_enumeration(no_enumeration, call):
     with pytest.raises(BudgetExceededError, match="plane partitions"):
@@ -101,6 +102,23 @@ def test_stretch_sizes_inside_the_limits():
         vuletic.check_partition_sum(order, profile)
     profile = TruncationProfile(s=10, q=6, t=6)
     assert vuletic.vuletic_rhs(10, profile).coefficient({}) == 1
+
+
+def test_enumeration_bounds():
+    # `enumerate pp` and `classes` count one cell: size 28 enumerates, 29 is refused
+    vuletic.check_partition_sum(28, TruncationProfile())
+    with pytest.raises(BudgetExceededError):
+        vuletic.check_partition_sum(29, TruncationProfile())
+    # bb counts the cells of its moduli profile; the benchmark's largest case fits
+    vuletic.check_partition_sum(11, TruncationProfile(t=11, L=2 * 6 * 11))
+
+
+def test_product_building_is_linear():
+    # 20,000 factors merged in one pass, then the expansion is refused
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="slice updates"):
+        motivic.limit_series_rhs(4, 5000)
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize(
@@ -135,7 +153,8 @@ def test_arithmetic_leaves_cached_values_unchanged(cached, args):
     assert cached(*args) is value
     other = FactorProduct.from_factor({"L": 1, "q": 1}, -2) * FactorProduct.monomial({"t": 1})
     for result in (value * other, value / other, other / value, value * value, value / value,
-                   value.inverse(), value.substitute_zero("t"), value.rename("s", "s")):
+                   FactorProduct() / value, FactorProduct.prod((value, other), (value,)),
+                   value.substitute_zero("t"), value.rename("s", "s")):
         assert isinstance(result, FactorProduct)
     assert cached(*args) is value
     assert value == fresh
