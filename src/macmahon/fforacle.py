@@ -5,7 +5,9 @@ matrix tuples over F_p that satisfy the defining conditions (commuting
 squares, full surjectivity). Nothing is sampled and nothing is pruned.
 Chains and grids are both lists of maps and commuting squares for one
 counter, `_count_points`; every matrix of every free map is visited, and
-its integer tables of products only reorder the exact count.
+its integer tables of products only reorder the exact count. One rank test,
+`_surjective_mask`, decides surjectivity everywhere: some a x a minor is
+nonzero mod p, each minor a cofactor expansion over a batch of matrices.
 
 Counts are exact int64 sums; the budget guard refuses instances whose raw
 search space p^(number of free entries) exceeds the instance budget, and
@@ -113,33 +115,6 @@ def _check_search(p: int, entries: int, budget: int) -> None:
         raise ValueError(f"point counting needs a prime field, got {p}")
 
 
-def _rank_mod_p(mat: list[list[int]], p: int) -> int:
-    a = [list(row) for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r][c] % p != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][c] % p, -1, p)
-        a[rank] = [(v * inv) % p for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c] % p:
-                f = a[r][c] % p
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def is_surjective(mat: Matrix, p: int) -> bool:
-    """Rank equals the target dimension, by exact elimination mod p."""
-    return _rank_mod_p(mat, p) == len(mat)
-
-
 def _tabulated_size(a: int, b: int, p: int, width: int) -> int:
     # p^(ab) rows of `width` values each
     size = p ** (a * b)
@@ -166,30 +141,30 @@ def _space_chunks(a: int, b: int, p: int):
         yield mats.reshape(len(mats), a, b)
 
 
-def _det_nonzero(m: np.ndarray, p: int) -> np.ndarray:
-    # square blocks of side 1, 2 or 3 only; _surjective_mask ranks larger ones
-    if m.shape[1] == 1:
-        return m[:, 0, 0] % p != 0
-    if m.shape[1] == 2:
-        return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % p != 0
-    det = (
-        m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-        - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-        + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-    )
-    return det % p != 0
+def _det(mats: np.ndarray, cols: tuple[int, ...], row: int = 0) -> np.ndarray:
+    """Determinant of every matrix's minor on rows row, row + 1, ... and the
+    columns `cols`, by cofactor expansion along row `row`; the minor is never
+    copied out. Entries lie in [0, p), so an a x a minor of an int64 stack
+    from _space_chunks (p^(ab) < 2^62, a <= b) is at most a! (p - 1)^a < 2^33
+    in size for a >= 2; a 1 x 1 minor is the entry itself."""
+    if len(cols) == 1:
+        return mats[:, row, cols[0]]
+    det = 0
+    for k, c in enumerate(cols):
+        term = mats[:, row, c] * _det(mats, cols[:k] + cols[k + 1 :], row + 1)
+        det = det - term if k % 2 else det + term
+    return det
 
 
 def _surjective_mask(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of the (n, a, b) stack have rank a mod p: those with
+    some nonzero a x a minor."""
     n, a, b = mats.shape
     if a == 0:
         return np.ones(n, dtype=bool)
-    if a > 3:
-        return np.array([_rank_mod_p(m.tolist(), p) == a for m in mats], dtype=bool)
     mask = np.zeros(n, dtype=bool)
     for cols in combinations(range(b), a):
-        sub = mats[:, :, cols]
-        mask |= _det_nonzero(sub, p)
+        mask |= _det(mats, cols) % p != 0
         if mask.all():
             break
     return mask
@@ -221,7 +196,7 @@ def _validated_h(
         reduced = tuple(tuple(v % p for v in exact_ints(row)) for row in mat)
         if any(len(row) != cols for row in reduced):
             raise ValueError(f"map {i} must be {rows}x{cols}")
-        if not is_surjective(reduced, p):
+        if not _surjective_mask(np.array(reduced, dtype=object).reshape(1, rows, cols), p)[0]:
             raise ValueError(f"intertwining map {i} is not surjective mod {p}")
         out.append(reduced)
     return tuple(out)

@@ -136,15 +136,6 @@ class TruncatedSeries:
     def zero(cls, profile: TruncationProfile) -> TruncatedSeries:
         return cls(profile)
 
-    @classmethod
-    def monomial(
-        cls, profile: TruncationProfile, exponents: Mapping[str, int], coeff: int = 1
-    ) -> TruncatedSeries:
-        vec = profile.vector(exponents)
-        if exact_int(coeff) == 0 or vec is None:
-            return cls.zero(profile)
-        return cls(profile, {vec: coeff})
-
     def _require_same(self, other: TruncatedSeries) -> None:
         if self.profile != other.profile:
             raise ValueError(f"profile mismatch: {self.profile!r} vs {other.profile!r}")
@@ -163,10 +154,6 @@ class TruncatedSeries:
     def coefficient(self, exponents: Mapping[str, int]) -> int:
         vec = self.profile.vector(exponents)
         return 0 if vec is None else self.coeffs.get(vec, 0)
-
-    def terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Sorted (exponent vector, coefficient) pairs; deterministic."""
-        return sorted(self.coeffs.items())
 
     def first_difference(self, other: TruncatedSeries) -> dict | None:
         """Smallest exponent vector where the two series disagree, ready for

@@ -1,7 +1,8 @@
 """Naive references and helpers that only the tests use: the dict
 convolution of truncated series (the reference of the dense expansion
 kernel), the pairwise merge of factored products (the reference of
-FactorProduct.prod) and the transpose of a plane partition."""
+FactorProduct.prod), the transpose of a plane partition, and scalar
+elimination mod p (the reference of the oracle's batched rank test)."""
 
 from macmahon.partitions import PlanePartition
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
@@ -9,6 +10,12 @@ from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
 
 def one(profile: TruncationProfile) -> TruncatedSeries:
     return TruncatedSeries(profile, {(0,) * len(profile.vars): 1})
+
+
+def monomial(profile: TruncationProfile, exponents, coeff: int = 1) -> TruncatedSeries:
+    """coeff times one monomial; the zero series past the caps."""
+    vec = profile.vector(exponents)
+    return TruncatedSeries(profile, {vec: coeff} if coeff and vec is not None else {})
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -46,3 +53,28 @@ def transpose(pi: PlanePartition) -> PlanePartition:
     rows = pi.to_lists()
     width = len(rows[0]) if rows else 0
     return PlanePartition([[pi.entry(i, j) for i in range(len(rows))] for j in range(width)])
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank of a matrix (a sequence of rows of ints) by Gauss-Jordan
+    elimination mod p, one pivot at a time."""
+    a = [[v % p for v in row] for row in mat]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [(v * inv) % p for v in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][c]:
+                f = a[r][c]
+                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def is_surjective(mat, p: int) -> bool:
+    """Rank equals the number of rows."""
+    return rank_mod_p(mat, p) == len(mat)

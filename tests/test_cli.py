@@ -168,6 +168,12 @@ def test_count_points_chain_with_h(capsys):
     assert json.loads(out)["outcome"] == "match"
 
 
+def test_count_points_chain_with_four_rows(capsys):
+    code, out = _run(capsys, ["count-points", "--chain-mu", "[4]", "--chain-nu", "[4]", "--p", "2"])
+    assert code == 0
+    assert json.loads(out)["outcome"] == "match"
+
+
 def test_count_points_budget_refusal(capsys):
     # raw space over the budget; then an in-budget chain whose 2^18 matrices
     # of 18 entries each are too many int64 values to materialize

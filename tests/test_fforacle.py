@@ -1,8 +1,10 @@
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import is_surjective, rank_mod_p
 
 from macmahon import fforacle
 from macmahon.fforacle import (
@@ -14,7 +16,6 @@ from macmahon.fforacle import (
     count_chain_points,
     count_grid_points,
     grid_entry_count,
-    is_surjective,
     oracle_vs_class,
     surjective_h_choices,
 )
@@ -134,6 +135,102 @@ def test_surjective_h_choices_counts():
     assert len(surjective_h_choices(1, 1, 3)) == 2
     assert len(surjective_h_choices(1, 2, 2)) == 3
     assert len(surjective_h_choices(2, 2, 2)) == 6  # invertible 2x2 over F_2
+    assert len(surjective_h_choices(4, 4, 2)) == 20160  # |GL_4(F_2)|
+
+
+def test_maps_with_four_rows():
+    # one free 4x4 (or 4x5) g: the rank test on four rows
+    for inst, p, count in [
+        (ChainInstance((4,), (4,)), 2, 20160),
+        (GridInstance(PlanePartition([[4, 4]])), 2, 20160),
+        (ChainInstance((5,), (4,)), 2, 624960),
+    ]:
+        rep = oracle_vs_class(inst, p)
+        assert rep["count"] == rep["predicted"] == count
+
+
+SPACE_LIMIT = 50_000  # matrices per space of the exhaustive rank test
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_test_on_every_small_space(p):
+    # every a x b space with a <= 4, b <= 5 and p^(ab) <= SPACE_LIMIT,
+    # zero rows and more rows than columns included
+    for a in range(5):
+        for b in range(6):
+            n = p ** (a * b)
+            if n > SPACE_LIMIT:
+                continue
+            mats = np.array(list(iproduct(range(p), repeat=a * b)), dtype=np.int64).reshape(n, a, b)
+            expected = [is_surjective(m, p) for m in mats.tolist()]
+            assert fforacle._surjective_mask(mats, p).tolist() == expected, (a, b, p)
+
+
+def _is_prime(n: int) -> bool:
+    # deterministic Miller-Rabin for n < 3.3 * 10^24
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in bases:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _largest_admitted_prime(a: int, b: int) -> int:
+    """The largest prime p with p^(ab) < 2^62, the most _space_chunks enumerates."""
+    p = int(2 ** (62 / (a * b))) + 1
+    while p ** (a * b) >= 1 << 62:
+        p -= 1
+    while not _is_prime(p):
+        p -= 1
+    return p
+
+
+SHAPES = [(a, b) for a in range(1, 5) for b in range(a, 6)]
+
+
+@st.composite
+def stacks_at_the_largest_prime(draw):
+    a, b = draw(st.sampled_from(SHAPES))
+    p = _largest_admitted_prime(a, b)
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1)))
+    rows = st.lists(st.lists(entry, min_size=b, max_size=b), min_size=a, max_size=a)
+    return draw(st.lists(rows, min_size=1, max_size=20)), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks_at_the_largest_prime())
+def test_rank_test_at_the_largest_enumerated_prime(case):
+    # int64 minors stay exact: below 2^33 for two or more rows, the entry itself for one
+    mats, p = case
+    mask = fforacle._surjective_mask(np.array(mats, dtype=np.int64), p)
+    assert mask.tolist() == [is_surjective(m, p) for m in mats]
+
+
+def test_given_h_ranked_exactly_past_int64():
+    p = 4294967311  # the least prime above 2^32: entry products pass 2^63
+    singular = ((p - 1, 1), (1, p - 1))  # determinant p (p - 2)
+    invertible = ((p - 1, p - 2), (p - 3, p - 1))  # determinant -5
+    assert [rank_mod_p(singular, p), rank_mod_p(invertible, p)] == [1, 2]
+    stack = np.array([singular, invertible], dtype=object)
+    assert fforacle._surjective_mask(stack, p).tolist() == [False, True]
+    with pytest.raises(ValueError, match="not surjective"):
+        count_chain_points(ChainInstance((2, 2), (2, 2), (singular,), budget=10**120), p)
+    with pytest.raises(BudgetExceededError, match="64-bit counts"):
+        count_chain_points(ChainInstance((2, 2), (2, 2), (invertible,), budget=10**120), p)
 
 
 def _all_matrices(rows, cols, p):

@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import factor_inverse, factor_mul, mul, one
+from reference import factor_inverse, factor_mul, monomial, mul, one
 
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
 
@@ -32,11 +32,11 @@ def naive_expand(raw, profile: TruncationProfile) -> TruncatedSeries:
     """Repeated products of (1 - x^e), and of the geometric sum of x^e for
     each unit of negative multiplicity."""
     coeff, mono, factors = raw
-    out = TruncatedSeries.monomial(profile, mono, coeff)
+    out = monomial(profile, mono, coeff)
     for exps, mult in factors:
-        x = TruncatedSeries.monomial(profile, exps)
+        x = monomial(profile, exps)
         if mult > 0:
-            term = one(profile) + TruncatedSeries.monomial(profile, exps, -1)
+            term = one(profile) + monomial(profile, exps, -1)
         else:
             term, power = one(profile), one(profile)
             while power.coeffs:
@@ -185,7 +185,7 @@ def test_dense_expand_edge_cases(raw, profile):
 def test_dense_expand_edge_case_values():
     # the naive reference is itself pinned on three of the cases above
     geometric = build((1, {}, [({"q": 1}, -3)])).expand(TruncationProfile(q=3))
-    assert geometric.terms() == [((0,), 1), ((1,), 3), ((2,), 6), ((3,), 10)]
+    assert sorted(geometric.coeffs.items()) == [((0,), 1), ((1,), 3), ((2,), 6), ((3,), 10)]
     assert build((1, {"q": 4}, [({"q": 1}, -1)])).expand(PROFILE).coeffs == {}
     capped = build((-1, {}, [({"q": 1}, -2)])).expand(TruncationProfile(q=0, t=2, s=0))
-    assert capped.terms() == [((0, 0, 0), -1)]
+    assert sorted(capped.coeffs.items()) == [((0, 0, 0), -1)]

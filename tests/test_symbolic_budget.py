@@ -36,7 +36,7 @@ def test_expand_over_work_limit_refused_before_allocation(monkeypatch):
     fp = FactorProduct.from_factor({"q": 1}, 4)
     profile = TruncationProfile(q=4)
     monkeypatch.setattr(series, "EXPAND_LIMIT", 20)
-    assert fp.expand(profile).terms() == [((0,), 1), ((1,), -4), ((2,), 6), ((3,), -4), ((4,), 1)]
+    assert sorted(fp.expand(profile).coeffs.items()) == [((0,), 1), ((1,), -4), ((2,), 6), ((3,), -4), ((4,), 1)]
 
     def no_array(*args, **kwargs):
         raise AssertionError("the array was allocated")
