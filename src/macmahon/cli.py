@@ -68,12 +68,11 @@ def _parse_tuple(text: str) -> DiagramTuple:
 
 
 def _run_enumerate(args) -> tuple[int, dict]:
-    check_partition_sum(args.n, TruncationProfile())
-    partitions = list(enumerate_plane_partitions(args.n, args.max_entry))
-    payload = {
-        "count": len(partitions),
-        "partitions": [p.to_lists() for p in partitions],
-    }
+    # a listed partition holds at most n entries: n + 1 cells apiece (a
+    # negative n is left to the enumerator's error)
+    check_partition_sum(args.n, TruncationProfile(s=max(args.n, 0)))
+    partitions = [p.to_lists() for p in enumerate_plane_partitions(args.n, args.max_entry)]
+    payload = {"count": len(partitions), "partitions": partitions}
     return EXIT_OK, {"outcome": "ok", "payload": payload}
 
 
@@ -106,7 +105,8 @@ def _run_verify(args) -> tuple[int, dict]:
 def _run_classes(args) -> tuple[int, dict]:
     if args.r is None:
         raise ValueError("class tables need a finite rank")
-    check_partition_sum(args.n, TruncationProfile())
+    # a class has degree rn - chi(pi) <= rn: rn + 1 cells apiece, as above
+    check_partition_sum(args.n, TruncationProfile(L=args.r * max(args.n, 0)))
     rows = []
     for pi in enumerate_plane_partitions(args.n, max_first_entry=args.r):
         poly = fixed_component_class(args.r, pi).polynomial()

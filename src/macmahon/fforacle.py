@@ -236,7 +236,7 @@ def _square_vector(square, out: int, spaces: dict, weights: dict, p: int) -> np.
     return vec
 
 
-def _count_points(maps: list, squares: list, p: int) -> int:
+def _count_points(maps: list, squares: list, p: int, sweep: int | None = None) -> int | np.ndarray:
     """Choices of a surjective matrix for every free map with every square
     commuting. maps: (rows, cols, fixed), fixed one given matrix or None for
     a free map; squares: (a, b, c, d) for maps[a] maps[b] = maps[c] maps[d].
@@ -246,7 +246,8 @@ def _count_points(maps: list, squares: list, p: int) -> int:
     component's last square; a shared map leading back to a square already
     reached closes a cycle and is fixed to each of its matrices in turn. Each
     other square scales the weights of the map it shares with its parent; a
-    root sums onto its first free map.
+    root sums onto its first free map. A free map `sweep`, in one square only
+    and that square a root, is the root's link: its count vector is returned.
     """
     shared: dict[int, list[int]] = {}
     for s, square in enumerate(squares):
@@ -262,7 +263,7 @@ def _count_points(maps: list, squares: list, p: int) -> int:
         if top in seen:
             continue
         seen.add(top)
-        stack = [(top, None)]
+        stack = [(top, sweep if sweep in squares[top] else None)]
         while stack:
             s, link = stack.pop()
             order.append((s, link))
@@ -275,7 +276,7 @@ def _count_points(maps: list, squares: list, p: int) -> int:
                     if t in seen:
                         rows, cols, _ = maps[m]
                         return sum(
-                            _count_points([*maps[:m], (rows, cols, mat), *maps[m + 1 :]], squares, p)
+                            _count_points([*maps[:m], (rows, cols, mat), *maps[m + 1 :]], squares, p, sweep)
                             for mat in _surjective_space(rows, cols, p)
                         )
                     seen.add(t)
@@ -298,26 +299,33 @@ def _count_points(maps: list, squares: list, p: int) -> int:
             total *= int(_square_vector(squares[s], out, spaces, weights, p) @ weights[out])
         else:
             weights[link] = weights[link] * _square_vector(squares[s], link, spaces, weights, p)
-    return total
+    return total if sweep is None else total * weights[sweep]
 
 
-def count_chain_points(inst: ChainInstance, p: int) -> int:
-    """Exact number of chain tuples ((f_i), (g_i)) over F_p satisfying
-    g_{i+1} f_i = h_i g_i with every f_i and g_i surjective.
-
-    The chain is the path of squares (g_{i+1}, f_i, h_i, g_i), h_i fixed:
-    from the first square on, a table of the products h_i g_i, weighted by
-    the partial tuples ending in each g_i, is looked up by every g_{i+1} f_i.
-    """
+def _chain_maps(inst: ChainInstance, p: int) -> tuple[list, list]:
+    # g_i at position i, f_i at k + i, h_i (given or canonical) at 2k - 1 + i
     mu, nu = _normalize_chain(inst.mu, inst.nu)
     k = len(mu)
-    # g_i at position i, f_i at k + i, h_i at 2k - 1 + i
     maps = [(nu[i], mu[i], None) for i in range(k)]
     maps += [(mu[i + 1], mu[i], None) for i in range(k - 1)]
     _check_search(p, sum(rows * cols for rows, cols, _ in maps), inst.budget)
     maps += [(nu[i + 1], nu[i], h) for i, h in enumerate(_validated_h(mu, nu, inst.h, p))]
-    squares = [(i + 1, k + i, 2 * k - 1 + i, i) for i in range(k - 1)]
-    return _count_points(maps, squares, p)
+    return maps, [(i + 1, k + i, 2 * k - 1 + i, i) for i in range(k - 1)]
+
+
+def count_chain_points(inst: ChainInstance, p: int) -> int:
+    """Exact number of chain tuples ((f_i), (g_i)) over F_p satisfying
+    g_{i+1} f_i = h_i g_i with every f_i and g_i surjective: the path of
+    squares (g_{i+1}, f_i, h_i, g_i), each h_i fixed."""
+    return _count_points(*_chain_maps(inst, p), p)
+
+
+def sweep_chain_h(inst: ChainInstance, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A two-stage chain counted for every surjective h in one pass: h's
+    space, and at entry k the count with h its k-th matrix. h is the swept
+    map of the one square: the products g_1 f_0 fill one table for all h."""
+    (g0, g1, f0, (a, b, _)), squares = _chain_maps(inst, p)
+    return _surjective_space(a, b, p), _count_points([g0, g1, f0, (a, b, None)], squares, p, 3)
 
 
 def count_grid_points(inst: GridInstance, p: int) -> int:
@@ -347,11 +355,6 @@ def count_grid_points(inst: GridInstance, p: int) -> int:
     ]
     _check_search(p, sum(rows * cols for rows, cols, _ in maps), inst.budget)
     return _count_points(maps, squares, p)
-
-
-def surjective_h_choices(rows: int, cols: int, p: int) -> list[Matrix]:
-    """All surjective rows x cols matrices over F_p, in odometer order."""
-    return [tuple(map(tuple, m)) for m in _surjective_space(rows, cols, p).tolist()]
 
 
 def oracle_vs_class(inst: ChainInstance | GridInstance, p: int) -> dict:

@@ -9,6 +9,7 @@ function, since it would indicate a transcription bug in a formula.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .partitions import PlanePartition, chi, enumerate_plane_partitions, exact_ints
@@ -81,6 +82,14 @@ def _box_factorial_ratio(pi: PlanePartition, var: str = "L") -> FactorProduct:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
+def _rank_ratio(r: int, k: int, var: str) -> FactorProduct:
+    """[r]!/[r - k]! = (1 - x^(r-k+1)) ... (1 - x^r), from its k factors
+    alone, so neither its cost nor its size grows with the rank r. Shared,
+    like q_factorial."""
+    return FactorProduct.prod(FactorProduct.from_factor({var: i}) for i in range(r - k + 1, r + 1))
+
+
 def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
     """Class of the rank-r fixed component indexed by pi:
 
@@ -93,7 +102,7 @@ def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
     if pi.first_entry > r:
         raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")
     return MotivicClass(FactorProduct.prod(
-        (q_factorial(r, "L"), _box_factorial_ratio(pi)), (q_factorial(r - pi.first_entry, "L"),)
+        (_rank_ratio(r, pi.first_entry, "L"), _box_factorial_ratio(pi))
     )).certify()
 
 
@@ -233,17 +242,18 @@ def refined_macmahon_lhs(r: int | None, t_order: int, q_order: int) -> Truncated
         for pi in enumerate_plane_partitions(w, max_first_entry=r):
             fp = vuletic_weight_t0(pi)
             if r is not None:
-                fp = fp * q_factorial(r, "q") / q_factorial(r - pi.first_entry, "q")
+                fp = fp * _rank_ratio(r, pi.first_entry, "q")
             fp = fp * FactorProduct.monomial({"q": chi(pi), "t": w})
             total = total + fp.expand(profile)
     return total
 
 
 def refined_macmahon_rhs(r: int | None, t_order: int, q_order: int) -> TruncatedSeries:
-    """prod_{k=1..t_order} prod_{m=1..r} 1/(1 - q^m t^k); m unbounded (up to
-    the q cap) in the large-rank limit r = None."""
+    """prod_{k=1..t_order} prod_{m=1..r} 1/(1 - q^m t^k); m unbounded in the
+    large-rank limit r = None. A factor with m past the q cap contributes 1,
+    so m stops there."""
     profile = TruncationProfile(q=q_order, t=t_order)
-    m_top = q_order if r is None else r
+    m_top = q_order if r is None else min(r, q_order)
     return FactorProduct.prod((), (
         FactorProduct.from_factor({"q": m, "t": k})
         for k in range(1, t_order + 1) for m in range(1, m_top + 1)

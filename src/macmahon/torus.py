@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .partitions import DiagramTuple, PlanePartition, chi
+from .series import CELL_LIMIT, BudgetExceededError
 
 
 class TangentCharacter:
@@ -46,15 +47,25 @@ def tangent_character(tup: DiagramTuple) -> TangentCharacter:
         sum_{i,j} e_j e_i^{-1} ( sum_{s in D_i} t1^(-leg_{D_j}(s)) t2^(arm_{D_i}(s) + 1)
                                + sum_{s in D_j} t1^(leg_{D_i}(s) + 1) t2^(-arm_{D_j}(s)) ).
 
-    Arms and legs are taken across diagrams, so they can be negative.
+    Arms and legs are taken across diagrams, so they can be negative. The
+    r^2 pairs of diagrams and the 2rn weights, each leg read off a column of
+    up to n boxes, take r^2 + 2rn^2 steps: past CELL_LIMIT, refused first.
     """
-    diagrams = tup.diagrams
+    r, n = tup.rank, tup.total_weight
+    steps = r * r + 2 * r * n * n
+    if steps > CELL_LIMIT:
+        raise BudgetExceededError(
+            f"the tangent character of rank {r} and weight {n} takes {steps} steps,"
+            f" over the limit {CELL_LIMIT}"
+        )
+    # each diagram's boxes listed once, not once per pair
+    slots = [(d, list(d.boxes())) for d in tup.diagrams]
     terms: Counter = Counter()
-    for i0, di in enumerate(diagrams, start=1):
-        for j0, dj in enumerate(diagrams, start=1):
-            for (a, b) in di.boxes():
+    for i0, (di, boxes_i) in enumerate(slots, start=1):
+        for j0, (dj, boxes_j) in enumerate(slots, start=1):
+            for (a, b) in boxes_i:
                 terms[(i0, j0, -dj.leg(a, b), di.arm(a, b) + 1)] += 1
-            for (a, b) in dj.boxes():
+            for (a, b) in boxes_j:
                 terms[(i0, j0, di.leg(a, b) + 1, -dj.arm(a, b))] += 1
     return TangentCharacter(terms)
 

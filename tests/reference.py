@@ -1,9 +1,11 @@
 """Naive references and helpers that only the tests use: the dict
 convolution of truncated series (the reference of the dense expansion
 kernel), the pairwise merge of factored products (the reference of
-FactorProduct.prod), the transpose of a plane partition, and scalar
-elimination mod p (the reference of the oracle's batched rank test)."""
+FactorProduct.prod), the transpose of a plane partition, scalar
+elimination mod p (the reference of the oracle's batched rank test), and
+the oracle's surjective spaces as tuples."""
 
+from macmahon import fforacle
 from macmahon.partitions import PlanePartition
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
 
@@ -78,3 +80,9 @@ def rank_mod_p(mat, p: int) -> int:
 def is_surjective(mat, p: int) -> bool:
     """Rank equals the number of rows."""
     return rank_mod_p(mat, p) == len(mat)
+
+
+def surjective_h_choices(rows: int, cols: int, p: int) -> list:
+    """All surjective rows x cols matrices over F_p, in odometer order, as
+    tuples of row tuples."""
+    return [tuple(map(tuple, m)) for m in fforacle._surjective_space(rows, cols, p).tolist()]

@@ -386,6 +386,25 @@ def test_enumerations_refused_fast(capsys, monkeypatch, argv):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "refined-macmahon", "--r", "1000000", "--t-order", "1", "--q-order", "1"], 0),
+        (["verify", "bb", "--r", "1000000", "--n", "0"], 0),
+        (["classes", "--r", "1000000", "--n", "0"], 0),
+        (["classes", "--r", "1000000", "--n", "1"], 3),
+        (["classes", "--r", "4", "--n", "20"], 3),
+        (["enumerate", "pp", "--n", "22"], 3),
+        (["tangent", "--tuple", "[[1000000]]"], 3),
+        (["tangent", "--tuple", json.dumps([[]] * 3000)], 3),
+    ],
+)
+def test_large_rank_or_weight_answered_or_refused_fast(capsys, argv, code):
+    started = time.perf_counter()
+    assert _run(capsys, argv)[0] == code
+    assert time.perf_counter() - started < 1.0
+
+
 def test_verify_bb_infinite_rank_is_usage_error(capsys):
     code, out = _run(capsys, ["verify", "bb", "--r", "inf"])
     assert code == 2

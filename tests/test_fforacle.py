@@ -1,12 +1,13 @@
+import json
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import is_surjective, rank_mod_p
+from reference import is_surjective, rank_mod_p, surjective_h_choices
 
-from macmahon import fforacle
+from macmahon import acceptance, fforacle
 from macmahon.fforacle import (
     BudgetExceededError,
     ChainInstance,
@@ -17,7 +18,7 @@ from macmahon.fforacle import (
     count_grid_points,
     grid_entry_count,
     oracle_vs_class,
-    surjective_h_choices,
+    sweep_chain_h,
 )
 from macmahon.motivic import commuting_grid_class, surjective_chain_class
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
@@ -256,14 +257,14 @@ def _mul(a, b, p):
 
 
 def _naive_chain_count(mu, nu, h, p):
-    # dumb odometer over every entry of every map, one tuple at a time
+    # dumb odometer over the surjective matrices of every map, each ranked
+    # once by elimination, one tuple at a time
     k = len(mu)
     shapes = [(mu[i + 1], mu[i]) for i in range(k - 1)] + [(nu[i], mu[i]) for i in range(k)]
+    choices = [[m for m in _all_matrices(r, c, p) if is_surjective(m, p)] for r, c in shapes]
     count = 0
-    for combo in iproduct(*(_all_matrices(r, c, p) for r, c in shapes)):
+    for combo in iproduct(*choices):
         fs, gs = combo[: k - 1], combo[k - 1 :]
-        if not all(is_surjective(m, p) for m in combo):
-            continue
         if all(_mul(gs[i + 1], fs[i], p) == _mul(h[i], gs[i], p) for i in range(k - 1)):
             count += 1
     return count
@@ -363,6 +364,45 @@ def test_staged_count_equals_naive_odometer(case):
     assert p ** chain_entry_count(mu, nu) <= RAW_LIMIT
     inst = ChainInstance(mu, nu, h if len(mu) > 1 else None)
     assert count_chain_points(inst, p) == _naive_chain_count(mu, nu, list(h), p)
+
+
+# every two-stage chain shape whose raw search space fits RAW_LIMIT at p in {2, 3}
+SWEEP_CASES = [
+    (mu, nu, p)
+    for mu, nu in CHAIN_SHAPES
+    if len(mu) == 2
+    for p in (2, 3)
+    if p ** chain_entry_count(mu, nu) <= RAW_LIMIT
+]
+
+
+@pytest.mark.parametrize("mu, nu, p", SWEEP_CASES)
+def test_swept_counts_equal_naive_count_per_h(mu, nu, p):
+    space, counts = sweep_chain_h(ChainInstance(mu, nu), p)
+    assert space.shape[1:] == (nu[1], nu[0])
+    assert counts.tolist() == [_naive_chain_count(mu, nu, [h], p) for h in space.tolist()]
+
+
+# check_oracle's report when the second h of ((2, 2), (2, 1)) at p = 3
+# reads one count too many
+WRONG_H_REPORT = (
+    '{"chains_checked":107,"failures":[{"count":"2305","expected":"2304","h":[[0,2]],'
+    '"kind":"chain-h","match":false,"mu":[2,2],"nu":[2,1],"p":3}],"grids_checked":48,'
+    '"h_variants":367,"match":false,"name":"oracle","skipped_over_budget":9}'
+)
+
+
+def test_wrong_swept_count_is_a_chain_h_failure(monkeypatch):
+    def patched(inst, p):
+        space, counts = sweep_chain_h(inst, p)
+        if (inst.mu, inst.nu, p) == ((2, 2), (2, 1), 3):
+            counts = counts.copy()
+            counts[1] += 1
+        return space, counts
+
+    monkeypatch.setattr(acceptance, "sweep_chain_h", patched)
+    report = acceptance.check_oracle()
+    assert json.dumps(report, sort_keys=True, separators=(",", ":")) == WRONG_H_REPORT
 
 
 # every plane partition with |pi| <= 8, each a grid shape for the property test

@@ -1,5 +1,6 @@
 import pytest
 
+from macmahon import motivic
 from macmahon.motivic import (
     bb_identity_check,
     commuting_grid_class,
@@ -11,10 +12,11 @@ from macmahon.motivic import (
     moduli_space_class,
     refined_macmahon_check,
     refined_macmahon_lhs,
+    refined_macmahon_rhs,
     surjective_chain_class,
 )
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
-from macmahon.series import TruncationProfile, gl_class, q_factorial
+from macmahon.series import FactorProduct, TruncationProfile, gl_class, q_factorial
 from macmahon.vuletic import vuletic_weight_t0
 
 
@@ -177,3 +179,20 @@ def test_limit_series_small():
 def test_limit_series_report_payload():
     report = limit_series_check(2, 4)
     assert set(report) >= {"t_order", "l_order", "match"}
+
+
+def test_rank_ratio_is_the_factorial_quotient():
+    for r in range(1, 8):
+        for k in range(r + 1):
+            for var in ("q", "L"):
+                assert motivic._rank_ratio(r, k, var) == q_factorial(r, var) / q_factorial(r - k, var)
+
+
+def test_refined_rhs_stops_at_the_q_cap():
+    # every m up to r, as the product reads, against the m <= q cap product
+    for r, t_order, q_order in [(7, 4, 3), (3, 3, 5), (5, 2, 5)]:
+        full = FactorProduct.prod((), (
+            FactorProduct.from_factor({"q": m, "t": k})
+            for k in range(1, t_order + 1) for m in range(1, r + 1)
+        )).expand(TruncationProfile(q=q_order, t=t_order))
+        assert refined_macmahon_rhs(r, t_order, q_order) == full

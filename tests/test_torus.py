@@ -10,6 +10,7 @@ from macmahon.partitions import (
     enumerate_diagram_tuples,
     partition_of_tuple,
 )
+from macmahon.series import BudgetExceededError
 from macmahon.torus import (
     TangentCharacter,
     attracting_dimension,
@@ -102,3 +103,19 @@ def test_attracting_dimension_validation():
         attracting_dimension(PlanePartition([[1]]), 0)
     with pytest.raises(ValueError):
         positive_weight_count(tangent_character(DiagramTuple([YoungDiagram([1])])), 0)
+
+
+@pytest.mark.parametrize(
+    "diagrams",
+    [[[1000000]], [[1] * 4000], [[]] * 3000, [[1] * 708]],
+    ids=["long-row", "tall-column", "many-empty", "column-past-the-limit"],
+)
+def test_large_characters_refused_before_building(diagrams):
+    tup = DiagramTuple([YoungDiagram(rows) for rows in diagrams])
+    with pytest.raises(BudgetExceededError, match="over the limit"):
+        tangent_character(tup)
+
+
+def test_largest_admitted_column():
+    # 2 * 707^2 + 1 steps, inside the limit: 2rn weights
+    assert tangent_character(DiagramTuple([YoungDiagram([1] * 707)])).size() == 2 * 707
