@@ -324,7 +324,10 @@ def sweep_chain_h(inst: ChainInstance, p: int) -> tuple[np.ndarray, np.ndarray]:
     """A two-stage chain counted for every surjective h in one pass: h's
     space, and at entry k the count with h its k-th matrix. h is the swept
     map of the one square: the products g_1 f_0 fill one table for all h."""
-    (g0, g1, f0, (a, b, _)), squares = _chain_maps(inst, p)
+    maps, squares = _chain_maps(inst, p)
+    if len(squares) != 1:
+        raise ValueError(f"sweeping h needs a two-stage chain, not {len(squares) + 1} stages")
+    g0, g1, f0, (a, b, _) = maps
     return _surjective_space(a, b, p), _count_points([g0, g1, f0, (a, b, None)], squares, p, 3)
 
 

@@ -57,29 +57,12 @@ class YoungDiagram:
         """Length of row i; 0 outside the diagram."""
         return self.rows[i] if 0 <= i < len(self.rows) else 0
 
-    def column(self, j: int) -> int:
-        """Height of column j; 0 outside the diagram."""
-        return sum(1 for v in self.rows if v > j)
-
     def part(self, k: int) -> int:
         """One-based part, 0 beyond the last row."""
         return self.row(k - 1)
 
     def contains(self, i: int, j: int) -> bool:
         return 0 <= i and 0 <= j < self.row(i)
-
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        for i, length in enumerate(self.rows):
-            for j in range(length):
-                yield (i, j)
-
-    def arm(self, i: int, j: int) -> int:
-        """Signed distance to the right edge: row(i) - j - 1; negative outside."""
-        return self.row(i) - j - 1
-
-    def leg(self, i: int, j: int) -> int:
-        """Signed distance to the bottom edge: column(j) - i - 1; negative outside."""
-        return self.column(j) - i - 1
 
     def to_list(self) -> list[int]:
         return list(self.rows)

@@ -9,6 +9,9 @@ multiset and are never deduplicated.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
+
+import numpy as np
 
 from .partitions import DiagramTuple, PlanePartition, chi
 from .series import CELL_LIMIT, BudgetExceededError
@@ -41,15 +44,43 @@ class TangentCharacter:
         return f"TangentCharacter({self.size()} weights)"
 
 
-def tangent_character(tup: DiagramTuple) -> TangentCharacter:
-    """Tangent weights at the fixed point of a diagram tuple:
+def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np.ndarray, ...]:
+    """Tangent weights (I, J, k1, k2) of T tuples, each of rank r and weight
+    n, as arrays of shape (T, 2, n, r); the one transcription of
 
         sum_{i,j} e_j e_i^{-1} ( sum_{s in D_i} t1^(-leg_{D_j}(s)) t2^(arm_{D_i}(s) + 1)
                                + sum_{s in D_j} t1^(leg_{D_i}(s) + 1) t2^(-arm_{D_j}(s)) ).
 
-    Arms and legs are taken across diagrams, so they can be negative. The
-    r^2 pairs of diagrams and the 2rn weights, each leg read off a column of
-    up to n boxes, take r^2 + 2rn^2 steps: past CELL_LIMIT, refused first.
+    Kind 0 pairs box s = (a, b) of its owner D_i with every D_j: k1 = a + 1 -
+    col_j(b), k2 = row_i(a) - b. Kind 1 pairs box s of its owner D_j with
+    every D_i: k1 = col_i(b) - a, k2 = b + 1 - row_j(a). Arms and legs are
+    taken across diagrams, so they can be negative.
+    """
+    rows = np.array(
+        [[d.rows + (0,) * (n + 1 - len(d.rows)) for d in tup.diagrams] for tup in tuples],
+        dtype=np.int64,
+    )
+    # inside[t, i, a, b]: box (a, b) lies in diagram i of tuple t
+    inside = rows[..., None] > np.arange(n + 1)
+    cols = inside.sum(axis=2)
+    # every tuple's n boxes: owner, row a, column b
+    t, own, a, b = (x.reshape(len(tuples), n) for x in inside.nonzero())
+    col_all = cols.transpose(0, 2, 1)[t, b]
+    row_own = rows[t, own, a]
+    k1 = np.stack([a[..., None] + 1 - col_all, col_all - a[..., None]], axis=1)
+    k2 = np.broadcast_to(np.stack([row_own - b, b + 1 - row_own], axis=1)[..., None], k1.shape)
+    owner = np.broadcast_to((own + 1)[:, None, :, None], (len(tuples), 1, n, r))
+    other = np.broadcast_to(np.arange(1, r + 1), owner.shape)
+    return np.concatenate([owner, other], 1), np.concatenate([other, owner], 1), k1, k2
+
+
+def tangent_character(tup: DiagramTuple) -> TangentCharacter:
+    """Tangent weights at the fixed point of a diagram tuple, as counted by
+    `_tangent_weights`.
+
+    Its largest array holds the column heights, read off a table of r(n+1)^2
+    cells (row a of diagram i against column b). Tuples with r^2 + 2rn^2
+    past CELL_LIMIT are refused first, which keeps that table within it.
     """
     r, n = tup.rank, tup.total_weight
     steps = r * r + 2 * r * n * n
@@ -58,16 +89,8 @@ def tangent_character(tup: DiagramTuple) -> TangentCharacter:
             f"the tangent character of rank {r} and weight {n} takes {steps} steps,"
             f" over the limit {CELL_LIMIT}"
         )
-    # each diagram's boxes listed once, not once per pair
-    slots = [(d, list(d.boxes())) for d in tup.diagrams]
-    terms: Counter = Counter()
-    for i0, (di, boxes_i) in enumerate(slots, start=1):
-        for j0, (dj, boxes_j) in enumerate(slots, start=1):
-            for (a, b) in boxes_i:
-                terms[(i0, j0, -dj.leg(a, b), di.arm(a, b) + 1)] += 1
-            for (a, b) in boxes_j:
-                terms[(i0, j0, di.leg(a, b) + 1, -dj.arm(a, b))] += 1
-    return TangentCharacter(terms)
+    weights = (x.ravel().tolist() for x in _tangent_weights([tup], r, n))
+    return TangentCharacter(Counter(zip(*weights)))
 
 
 def positive_weight_count(character: TangentCharacter, alpha: int) -> int:

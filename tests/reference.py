@@ -2,11 +2,14 @@
 convolution of truncated series (the reference of the dense expansion
 kernel), the pairwise merge of factored products (the reference of
 FactorProduct.prod), the transpose of a plane partition, scalar
-elimination mod p (the reference of the oracle's batched rank test), and
-the oracle's surjective spaces as tuples."""
+elimination mod p (the reference of the oracle's batched rank test), the
+oracle's surjective spaces as tuples, and arms, legs and the per-box loop
+of the tangent character (the reference of its batched weight kernel)."""
+
+from collections import Counter
 
 from macmahon import fforacle
-from macmahon.partitions import PlanePartition
+from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
 
 
@@ -86,3 +89,32 @@ def surjective_h_choices(rows: int, cols: int, p: int) -> list:
     """All surjective rows x cols matrices over F_p, in odometer order, as
     tuples of row tuples."""
     return [tuple(map(tuple, m)) for m in fforacle._surjective_space(rows, cols, p).tolist()]
+
+
+def arm(d: YoungDiagram, i: int, j: int) -> int:
+    """Signed distance to the right edge: row(i) - j - 1; negative outside."""
+    return d.row(i) - j - 1
+
+
+def leg(d: YoungDiagram, i: int, j: int) -> int:
+    """Signed distance to the bottom edge: column(j) - i - 1; negative outside."""
+    return sum(1 for v in d.rows if v > j) - i - 1
+
+
+def tangent_terms(tup: DiagramTuple) -> Counter:
+    """The tangent character's weights, one Counter increment per weight:
+
+        sum_{i,j} e_j e_i^{-1} ( sum_{s in D_i} t1^(-leg_{D_j}(s)) t2^(arm_{D_i}(s) + 1)
+                               + sum_{s in D_j} t1^(leg_{D_i}(s) + 1) t2^(-arm_{D_j}(s)) )."""
+    slots = [
+        (d, [(a, b) for a, length in enumerate(d.rows) for b in range(length)])
+        for d in tup.diagrams
+    ]
+    terms: Counter = Counter()
+    for i0, (di, boxes_i) in enumerate(slots, start=1):
+        for j0, (dj, boxes_j) in enumerate(slots, start=1):
+            for (a, b) in boxes_i:
+                terms[(i0, j0, -leg(dj, a, b), arm(di, a, b) + 1)] += 1
+            for (a, b) in boxes_j:
+                terms[(i0, j0, leg(di, a, b) + 1, -arm(dj, a, b))] += 1
+    return terms

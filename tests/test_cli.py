@@ -147,6 +147,36 @@ def test_tangent(capsys):
     assert report["payload"]["size_ok"] is True
 
 
+TANGENT_TERMS = (
+    '"terms":[{"i":1,"j":1,"multiplicity":1,"t1":0,"t2":1},'
+    '{"i":1,"j":1,"multiplicity":1,"t1":1,"t2":0},'
+    '{"i":1,"j":2,"multiplicity":1,"t1":1,"t2":1},'
+    '{"i":2,"j":1,"multiplicity":1,"t1":0,"t2":0}]'
+)
+
+
+@pytest.mark.parametrize("alpha", ["4", "99999999999999999999"])
+def test_tangent_bytes(capsys, alpha):
+    # an alpha past int64 is counted on Python ints
+    code, out = _run(capsys, ["tangent", "--tuple", "[[1],[]]", "--alpha", alpha])
+    assert code == 0
+    assert out == (
+        f'{{"command":"tangent --tuple [[1],[]] --alpha {alpha}","outcome":"match",'
+        f'"parameters":{{"alpha":{alpha},"command":"tangent","tuple":"[[1],[]]"}},'
+        f'"payload":{{"alpha":{alpha},"d_plus":3,"expected_size":4,"rank":2,"size":4,'
+        f'"size_ok":true,{TANGENT_TERMS},"weight":1}}}}\n'
+    )
+
+
+def test_tangent_nonpositive_alpha_bytes(capsys):
+    code, out = _run(capsys, ["tangent", "--tuple", "[[1],[]]", "--alpha", "0"])
+    assert code == 2
+    assert out == (
+        '{"command":"tangent --tuple [[1],[]] --alpha 0","error":"alpha must be positive",'
+        '"outcome":"error","parameters":{"alpha":0,"command":"tangent","tuple":"[[1],[]]"}}\n'
+    )
+
+
 def test_count_points_grid(capsys):
     # [[4,3]] and [[4],[3]] have no commuting square: one 3x4 map each, whose
     # 3^12 matrices are streamed, never tabulated

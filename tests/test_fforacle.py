@@ -383,6 +383,14 @@ def test_swept_counts_equal_naive_count_per_h(mu, nu, p):
     assert counts.tolist() == [_naive_chain_count(mu, nu, [h], p) for h in space.tolist()]
 
 
+@pytest.mark.parametrize(
+    "mu, nu, stages", [((2,), (1,), 1), ((2, 1, 1), (1, 1, 0), 3)], ids=["one-stage", "three-stage"]
+)
+def test_sweep_needs_a_two_stage_chain(mu, nu, stages):
+    with pytest.raises(ValueError, match=f"two-stage chain, not {stages} stages"):
+        sweep_chain_h(ChainInstance(mu, nu), 2)
+
+
 # check_oracle's report when the second h of ((2, 2), (2, 1)) at p = 3
 # reads one count too many
 WRONG_H_REPORT = (

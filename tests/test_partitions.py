@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import transpose
+from reference import arm, leg, transpose
 
 from macmahon.partitions import (
     DiagramTuple,
@@ -187,13 +187,13 @@ def test_transpose():
 
 def test_arm_leg():
     y = YoungDiagram([1])
-    assert (y.arm(0, 0), y.leg(0, 0)) == (0, 0)
+    assert (arm(y, 0, 0), leg(y, 0, 0)) == (0, 0)
     y = YoungDiagram([3, 1])
-    assert (y.arm(0, 0), y.leg(0, 0)) == (2, 1)
-    assert (y.arm(0, 2), y.leg(0, 2)) == (0, 0)
-    assert (y.arm(1, 1), y.leg(1, 1)) == (-1, -1)
+    assert (arm(y, 0, 0), leg(y, 0, 0)) == (2, 1)
+    assert (arm(y, 0, 2), leg(y, 0, 2)) == (0, 0)
+    assert (arm(y, 1, 1), leg(y, 1, 1)) == (-1, -1)
     empty = YoungDiagram()
-    assert (empty.arm(0, 0), empty.leg(0, 0)) == (-1, -1)
+    assert (arm(empty, 0, 0), leg(empty, 0, 0)) == (-1, -1)
 
 
 def test_young_diagram_validation():

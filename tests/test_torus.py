@@ -1,7 +1,9 @@
 from collections import Counter
 
 import pytest
+from reference import tangent_terms
 
+from macmahon import acceptance
 from macmahon.partitions import (
     DiagramTuple,
     PlanePartition,
@@ -119,3 +121,55 @@ def test_large_characters_refused_before_building(diagrams):
 def test_largest_admitted_column():
     # 2 * 707^2 + 1 steps, inside the limit: 2rn weights
     assert tangent_character(DiagramTuple([YoungDiagram([1] * 707)])).size() == 2 * 707
+
+
+def test_kernel_equals_per_box_reference():
+    for r in (1, 2, 3):
+        for n in range(7):
+            for tup in enumerate_diagram_tuples(r, n):
+                assert tangent_character(tup).terms == tangent_terms(tup)
+
+
+@pytest.mark.parametrize(
+    "diagrams", [[[1] * 707], [[1]] + [[]] * 99], ids=["largest-column", "box-beside-empties"]
+)
+def test_kernel_equals_per_box_reference_at_extremes(diagrams):
+    tup = DiagramTuple([YoungDiagram(rows) for rows in diagrams])
+    assert tangent_character(tup).terms == tangent_terms(tup)
+
+
+def test_check_tangent_report_independent_of_chunking(monkeypatch):
+    report = acceptance.check_tangent(3, 5)
+    assert report == {"name": "tangent", "num_tuples": 287, "failures": [], "match": True}
+    monkeypatch.setattr(acceptance, "_TANGENT_CHUNK_WEIGHTS", 1)
+    assert acceptance.check_tangent(3, 5) == report
+
+
+@pytest.mark.parametrize("chunk_weights", [1, 1 << 12])
+def test_check_tangent_failures_in_enumeration_order(monkeypatch, chunk_weights):
+    # a closed form one too large at rank 2: every rank-2 tuple fails, in order
+    monkeypatch.setattr(acceptance, "_TANGENT_CHUNK_WEIGHTS", chunk_weights)
+    monkeypatch.setattr(
+        acceptance, "attracting_dimension", lambda pi, r: attracting_dimension(pi, r) + (r == 2)
+    )
+    report = acceptance.check_tangent(2, 3)
+    assert report["failures"] == [
+        {"tuple": tup.to_lists(), "r": 2, "n": n}
+        for n in range(4)
+        for tup in enumerate_diagram_tuples(2, n)
+    ]
+    assert report["num_tuples"] == 7 + 18
+
+
+def test_check_tangent_refuses_a_trivial_weight(monkeypatch):
+    kernel = acceptance._tangent_weights
+
+    def with_trivial_weight(tuples, r, n):
+        i, j, k1, k2 = (x.copy() for x in kernel(tuples, r, n))
+        if n:
+            i[0, 0, 0, 0], j[0, 0, 0, 0], k1[0, 0, 0, 0], k2[0, 0, 0, 0] = 1, 1, 0, 0
+        return i, j, k1, k2
+
+    monkeypatch.setattr(acceptance, "_tangent_weights", with_trivial_weight)
+    with pytest.raises(ValueError, match="trivial weight"):
+        acceptance.check_tangent(1, 1)
