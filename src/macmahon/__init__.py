@@ -29,7 +29,6 @@ from .partitions import (
     diagonal_partitions,
     enumerate_diagram_tuples,
     enumerate_plane_partitions,
-    enumerate_young_diagrams,
     partition_of_tuple,
 )
 from .series import (
@@ -40,7 +39,7 @@ from .series import (
     gl_class,
     q_factorial,
 )
-from .torus import TangentCharacter, attracting_dimension, positive_weight_count, tangent_character
+from .torus import attracting_dimension, positive_weight_count, tangent_character
 from .vuletic import box_weight, little_f, vuletic_lhs, vuletic_rhs, vuletic_weight, vuletic_weight_t0
 
 __version__ = "0.1.0"
@@ -54,7 +53,6 @@ __all__ = [
     "MotivicClass",
     "NotPolynomialError",
     "PlanePartition",
-    "TangentCharacter",
     "TruncatedSeries",
     "TruncationProfile",
     "YoungDiagram",
@@ -68,7 +66,6 @@ __all__ = [
     "diagonal_partitions",
     "enumerate_diagram_tuples",
     "enumerate_plane_partitions",
-    "enumerate_young_diagrams",
     "fixed_component_class",
     "gl_class",
     "limit_class",

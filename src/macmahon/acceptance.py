@@ -25,7 +25,7 @@ from .motivic import (
     bb_identity_check,
     fixed_component_class,
     identity_report,
-    limit_class_check,
+    limit_class,
     limit_series_check,
     poly_json,
     refined_macmahon_check,
@@ -37,7 +37,7 @@ from .partitions import (
 )
 from .series import FactorProduct, TruncationProfile
 from .torus import _tangent_weights, attracting_dimension
-from .vuletic import check_partition_sum, vuletic_lhs, vuletic_rhs
+from .vuletic import check_partition_sum, vuletic_lhs, vuletic_rhs, vuletic_weight_t0
 
 MACMAHON_COUNTS = (1, 1, 3, 6, 13, 24, 48, 86, 160)
 
@@ -82,8 +82,30 @@ def check_vuletic(s_order: int = 6, q_order: int = 6, t_order: int = 6) -> dict:
 
 
 def check_limit_class(max_weight: int = 5, l_order: int = 20) -> dict:
-    """The t = 0 weight of every small partition equals its limit class."""
-    return {**limit_class_check(max_weight, l_order), "name": "limit-class"}
+    """The t = 0 weight of every small partition (q renamed to L) equals its
+    large-rank limit class, both as factored forms and as expansions."""
+    profile = TruncationProfile(L=l_order)
+    check_partition_sum(max_weight, profile)
+    checked = factored_matches = 0
+    failures: list[list[list[int]]] = []
+    for w in range(max_weight + 1):
+        for pi in enumerate_plane_partitions(w):
+            checked += 1
+            lhs = vuletic_weight_t0(pi).rename("q", "L")
+            rhs = limit_class(pi).factors
+            if lhs == rhs:
+                factored_matches += 1
+            if lhs.expand(profile) != rhs.expand(profile):
+                failures.append(pi.to_lists())
+    return {
+        "max_weight": max_weight,
+        "l_order": l_order,
+        "num_partitions": checked,
+        "factored_matches": factored_matches,
+        "failures": failures,
+        "match": not failures,
+        "name": "limit-class",
+    }
 
 
 def check_refined_macmahon() -> dict:
@@ -127,9 +149,7 @@ def check_tangent(r_max: int = 3, n_max: int = 5) -> dict:
             tuples = enumerate_diagram_tuples(r, n)
             per_chunk = max(1, _TANGENT_CHUNK_WEIGHTS // max(1, 2 * r * n))
             while chunk := list(islice(tuples, per_chunk)):
-                i, j, k1, k2 = _tangent_weights(chunk, r, n)
-                if ((i == j) & (k1 == 0) & (k2 == 0)).any():
-                    raise ValueError("trivial weight: fixed points must be isolated")
+                _, _, k1, k2 = _tangent_weights(chunk, r, n)
                 nontrivial = (k1 != 0) | (k2 != 0)
                 ok = np.full(len(chunk), k1[0].size == 2 * r * n)
                 counts = []
@@ -159,20 +179,9 @@ def check_oracle() -> dict:
     chain counts it for every surjective intertwining map; each must match.
     """
     primes = (2, 3)
-    grid_checked = chain_checked = skipped = h_variants = 0
+    checked = {"grid": 0, "chain": 0}
+    skipped = h_variants = 0
     failures: list[dict] = []
-
-    for w in range(5):
-        for pi in enumerate_plane_partitions(w):
-            inst = GridInstance(pi)
-            for p in primes:
-                if p ** grid_entry_count(pi) > DEFAULT_BUDGET:
-                    skipped += 1
-                    continue
-                rep = oracle_vs_class(inst, p)
-                grid_checked += 1
-                if not rep["match"]:
-                    failures.append(oracle_json(rep))
 
     chains = [((m1,), (v1,)) for m1 in range(1, 4) for v1 in range(m1 + 1)]
     chains += [
@@ -182,30 +191,32 @@ def check_oracle() -> dict:
         for v1 in range(m1 + 1)
         for v2 in range(min(v1, m2) + 1)
     ]
-    for mu, nu in chains:
-        entries = chain_entry_count(mu, nu)
+    instances = [
+        (GridInstance(pi), grid_entry_count(pi)) for w in range(5) for pi in enumerate_plane_partitions(w)
+    ]
+    instances += [(ChainInstance(mu, nu), chain_entry_count(mu, nu)) for mu, nu in chains]
+    for inst, entries in instances:
         for p in primes:
             if p**entries > DEFAULT_BUDGET:
                 skipped += 1
                 continue
-            rep = oracle_vs_class(ChainInstance(mu, nu), p)
-            chain_checked += 1
+            rep = oracle_vs_class(inst, p)
+            checked[rep["kind"]] += 1
             if not rep["match"]:
                 failures.append(oracle_json(rep))
-                continue
-            if len(mu) == 2:
-                space, counts = sweep_chain_h(ChainInstance(mu, nu), p)
+            elif rep["kind"] == "chain" and len(inst.mu) == 2:
+                space, counts = sweep_chain_h(inst, p)
                 h_variants += len(counts)
                 for h, alt in zip(space.tolist(), counts.tolist()):
                     if alt != rep["count"]:
                         failures.append(
-                            {"kind": "chain-h", "mu": list(mu), "nu": list(nu), "p": p, "h": h,
+                            {"kind": "chain-h", "mu": rep["mu"], "nu": rep["nu"], "p": p, "h": h,
                              "count": str(alt), "expected": str(rep["count"]), "match": False}
                         )
     return {
         "name": "oracle",
-        "grids_checked": grid_checked,
-        "chains_checked": chain_checked,
+        "grids_checked": checked["grid"],
+        "chains_checked": checked["chain"],
         "h_variants": h_variants,
         "skipped_over_budget": skipped,
         "failures": failures,

@@ -129,15 +129,15 @@ def _run_tangent(args) -> tuple[int, dict]:
     alpha = args.alpha if args.alpha is not None else n + 2
     terms = [
         {"i": i, "j": j, "t1": k1, "t2": k2, "multiplicity": m}
-        for (i, j, k1, k2), m in character.sorted_terms()
+        for (i, j, k1, k2), m in sorted(character.items())
     ]
-    size_ok = character.size() == 2 * r * n
+    size_ok = character.total() == 2 * r * n
     payload = {
         "rank": r,
         "weight": n,
         "alpha": alpha,
         "terms": terms,
-        "size": character.size(),
+        "size": character.total(),
         "expected_size": 2 * r * n,
         "size_ok": size_ok,
         "d_plus": positive_weight_count(character, alpha),

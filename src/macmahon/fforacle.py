@@ -236,7 +236,13 @@ def _square_vector(square, out: int, spaces: dict, weights: dict, p: int) -> np.
     return vec
 
 
-def _count_points(maps: list, squares: list, p: int, sweep: int | None = None) -> int | np.ndarray:
+def _check_counts(p: int, entries: int) -> None:
+    """Refuse a count that could pass int64: one of p^entries tuples."""
+    if p**entries >= 1 << 63:
+        raise BudgetExceededError(f"{p}^{entries} tuples do not fit 64-bit counts")
+
+
+def _count_points(maps: list, squares: list, p: int) -> int:
     """Choices of a surjective matrix for every free map with every square
     commuting. maps: (rows, cols, fixed), fixed one given matrix or None for
     a free map; squares: (a, b, c, d) for maps[a] maps[b] = maps[c] maps[d].
@@ -246,16 +252,13 @@ def _count_points(maps: list, squares: list, p: int, sweep: int | None = None) -
     component's last square; a shared map leading back to a square already
     reached closes a cycle and is fixed to each of its matrices in turn. Each
     other square scales the weights of the map it shares with its parent; a
-    root sums onto its first free map. A free map `sweep`, in one square only
-    and that square a root, is the root's link: its count vector is returned.
+    root sums onto its first free map.
     """
     shared: dict[int, list[int]] = {}
     for s, square in enumerate(squares):
         for m in square:
             shared.setdefault(m, []).append(s)
-    entries = sum(maps[m][0] * maps[m][1] for m in shared if maps[m][2] is None)
-    if p**entries >= 1 << 63:
-        raise BudgetExceededError(f"{p}^{entries} tuples do not fit 64-bit counts")
+    _check_counts(p, sum(maps[m][0] * maps[m][1] for m in shared if maps[m][2] is None))
 
     order = []  # (square, the map it shares with its parent or None), parents first
     seen = set()
@@ -263,7 +266,7 @@ def _count_points(maps: list, squares: list, p: int, sweep: int | None = None) -
         if top in seen:
             continue
         seen.add(top)
-        stack = [(top, sweep if sweep in squares[top] else None)]
+        stack = [(top, None)]
         while stack:
             s, link = stack.pop()
             order.append((s, link))
@@ -276,7 +279,7 @@ def _count_points(maps: list, squares: list, p: int, sweep: int | None = None) -
                     if t in seen:
                         rows, cols, _ = maps[m]
                         return sum(
-                            _count_points([*maps[:m], (rows, cols, mat), *maps[m + 1 :]], squares, p, sweep)
+                            _count_points([*maps[:m], (rows, cols, mat), *maps[m + 1 :]], squares, p)
                             for mat in _surjective_space(rows, cols, p)
                         )
                     seen.add(t)
@@ -299,7 +302,7 @@ def _count_points(maps: list, squares: list, p: int, sweep: int | None = None) -
             total *= int(_square_vector(squares[s], out, spaces, weights, p) @ weights[out])
         else:
             weights[link] = weights[link] * _square_vector(squares[s], link, spaces, weights, p)
-    return total if sweep is None else total * weights[sweep]
+    return total
 
 
 def _chain_maps(inst: ChainInstance, p: int) -> tuple[list, list]:
@@ -322,13 +325,15 @@ def count_chain_points(inst: ChainInstance, p: int) -> int:
 
 def sweep_chain_h(inst: ChainInstance, p: int) -> tuple[np.ndarray, np.ndarray]:
     """A two-stage chain counted for every surjective h in one pass: h's
-    space, and at entry k the count with h its k-th matrix. h is the swept
-    map of the one square: the products g_1 f_0 fill one table for all h."""
+    space, and at entry k the count with h its k-th matrix. The chain's one
+    square has four free maps; the products g_1 f_0 fill one table for all h."""
     maps, squares = _chain_maps(inst, p)
     if len(squares) != 1:
         raise ValueError(f"sweeping h needs a two-stage chain, not {len(squares) + 1} stages")
-    g0, g1, f0, (a, b, _) = maps
-    return _surjective_space(a, b, p), _count_points([g0, g1, f0, (a, b, None)], squares, p, 3)
+    _check_counts(p, sum(rows * cols for rows, cols, _ in maps))
+    spaces = {m: _surjective_space(rows, cols, p) for m, (rows, cols, _) in enumerate(maps)}
+    weights = {m: np.ones(len(space), np.int64) for m, space in spaces.items()}
+    return spaces[3], _square_vector(squares[0], 3, spaces, weights, p)
 
 
 def count_grid_points(inst: GridInstance, p: int) -> int:

@@ -21,7 +21,7 @@ from .series import (
     gl_class,
     q_factorial,
 )
-from .vuletic import check_partition_sum, vuletic_weight_t0
+from .vuletic import check_partition_sum, partition_sum, vuletic_weight_t0
 
 
 class MotivicClass:
@@ -235,17 +235,14 @@ def refined_macmahon_lhs(r: int | None, t_order: int, q_order: int) -> Truncated
     restricted to pi00 <= r. r = None is the large-rank limit: the
     prefactor is 1 and the corner constraint is vacuous.
     """
-    profile = TruncationProfile(q=q_order, t=t_order)
-    check_partition_sum(t_order, profile)
-    total = TruncatedSeries.zero(profile)
-    for w in range(t_order + 1):
-        for pi in enumerate_plane_partitions(w, max_first_entry=r):
-            fp = vuletic_weight_t0(pi)
-            if r is not None:
-                fp = fp * _rank_ratio(r, pi.first_entry, "q")
-            fp = fp * FactorProduct.monomial({"q": chi(pi), "t": w})
-            total = total + fp.expand(profile)
-    return total
+
+    def term(pi: PlanePartition) -> FactorProduct:
+        fp = vuletic_weight_t0(pi)
+        if r is not None:
+            fp = fp * _rank_ratio(r, pi.first_entry, "q")
+        return fp * FactorProduct.monomial({"q": chi(pi), "t": pi.weight})
+
+    return partition_sum(t_order, TruncationProfile(q=q_order, t=t_order), term, r)
 
 
 def refined_macmahon_rhs(r: int | None, t_order: int, q_order: int) -> TruncatedSeries:
@@ -272,14 +269,11 @@ def refined_macmahon_check(r: int | None, t_order: int, q_order: int) -> dict:
 
 def limit_series_lhs(t_order: int, l_order: int) -> TruncatedSeries:
     """sum_n t^n * sum_{|pi| = n} (limit class of pi) expanded in L."""
-    profile = TruncationProfile(t=t_order, L=l_order)
-    check_partition_sum(t_order, profile)
-    total = TruncatedSeries.zero(profile)
-    for w in range(t_order + 1):
-        for pi in enumerate_plane_partitions(w):
-            fp = limit_class(pi).factors * FactorProduct.monomial({"t": w})
-            total = total + fp.expand(profile)
-    return total
+    return partition_sum(
+        t_order,
+        TruncationProfile(t=t_order, L=l_order),
+        lambda pi: limit_class(pi).factors * FactorProduct.monomial({"t": pi.weight}),
+    )
 
 
 def limit_series_rhs(t_order: int, l_order: int) -> TruncatedSeries:
@@ -299,29 +293,3 @@ def limit_series_check(t_order: int, l_order: int) -> dict:
         l_order=l_order,
     )
 
-
-def limit_class_check(max_weight: int, l_order: int) -> dict:
-    """Per-partition comparison of the t = 0 weight (q renamed to L) against
-    the large-rank limit class, both as factored forms and as expansions."""
-    profile = TruncationProfile(L=l_order)
-    check_partition_sum(max_weight, profile)
-    checked = 0
-    factored_matches = 0
-    failures: list[list[list[int]]] = []
-    for w in range(max_weight + 1):
-        for pi in enumerate_plane_partitions(w):
-            checked += 1
-            lhs = vuletic_weight_t0(pi).rename("q", "L")
-            rhs = limit_class(pi).factors
-            if lhs == rhs:
-                factored_matches += 1
-            if lhs.expand(profile) != rhs.expand(profile):
-                failures.append(pi.to_lists())
-    return {
-        "max_weight": max_weight,
-        "l_order": l_order,
-        "num_partitions": checked,
-        "factored_matches": factored_matches,
-        "failures": failures,
-        "match": not failures,
-    }

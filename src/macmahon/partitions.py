@@ -224,23 +224,6 @@ def enumerate_plane_partitions(
         yield PlanePartition(rows)
 
 
-def enumerate_young_diagrams(n: int) -> Iterator[YoungDiagram]:
-    """All partitions of n in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-
-    def rec(head: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if budget == 0:
-            yield ()
-            return
-        for v in range(min(head, budget), 0, -1):
-            for rest in rec(v, budget - v):
-                yield (v,) + rest
-
-    for rows in rec(n, n):
-        yield YoungDiagram(rows)
-
-
 def enumerate_diagram_tuples(r: int, n: int) -> Iterator[DiagramTuple]:
     """All r-tuples of Young diagrams with total weight n, each exactly once.
 
@@ -252,7 +235,11 @@ def enumerate_diagram_tuples(r: int, n: int) -> Iterator[DiagramTuple]:
         raise ValueError("rank must be positive")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    by_weight = {w: list(enumerate_young_diagrams(w)) for w in range(n + 1)}
+    # every diagram of size <= n, grouped by size, each group in descending
+    # lexicographic order
+    by_weight = {0: [YoungDiagram(())]}
+    for rows in _decreasing_rows(None, n, n):
+        by_weight.setdefault(sum(rows), []).append(YoungDiagram(rows))
 
     def rec(slots: int, remaining: int) -> Iterator[tuple[YoungDiagram, ...]]:
         if slots == 1:

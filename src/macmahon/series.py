@@ -132,10 +132,6 @@ class TruncatedSeries:
         self.profile = profile
         self.coeffs: dict[tuple[int, ...], int] = dict(coeffs)
 
-    @classmethod
-    def zero(cls, profile: TruncationProfile) -> TruncatedSeries:
-        return cls(profile)
-
     def _require_same(self, other: TruncatedSeries) -> None:
         if self.profile != other.profile:
             raise ValueError(f"profile mismatch: {self.profile!r} vs {other.profile!r}")

@@ -17,33 +17,6 @@ from .partitions import DiagramTuple, PlanePartition, chi
 from .series import CELL_LIMIT, BudgetExceededError
 
 
-class TangentCharacter:
-    """Multiset of tangent weights at a fixed point."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Counter):
-        for (i, j, k1, k2), mult in terms.items():
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-            if i == j and k1 == 0 and k2 == 0:
-                raise ValueError("trivial weight: fixed points must be isolated")
-        self.terms = Counter(terms)
-
-    def size(self) -> int:
-        """Total multiplicity; equals twice rank times weight."""
-        return sum(self.terms.values())
-
-    def sorted_terms(self) -> list[tuple[tuple[int, int, int, int], int]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TangentCharacter) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"TangentCharacter({self.size()} weights)"
-
-
 def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np.ndarray, ...]:
     """Tangent weights (I, J, k1, k2) of T tuples, each of rank r and weight
     n, as arrays of shape (T, 2, n, r); the one transcription of
@@ -54,7 +27,8 @@ def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np
     Kind 0 pairs box s = (a, b) of its owner D_i with every D_j: k1 = a + 1 -
     col_j(b), k2 = row_i(a) - b. Kind 1 pairs box s of its owner D_j with
     every D_i: k1 = col_i(b) - a, k2 = b + 1 - row_j(a). Arms and legs are
-    taken across diagrams, so they can be negative.
+    taken across diagrams, so they can be negative. A trivial weight (i = j,
+    k1 = k2 = 0) would make the fixed point non-isolated and is refused.
     """
     rows = np.array(
         [[d.rows + (0,) * (n + 1 - len(d.rows)) for d in tup.diagrams] for tup in tuples],
@@ -71,12 +45,15 @@ def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np
     k2 = np.broadcast_to(np.stack([row_own - b, b + 1 - row_own], axis=1)[..., None], k1.shape)
     owner = np.broadcast_to((own + 1)[:, None, :, None], (len(tuples), 1, n, r))
     other = np.broadcast_to(np.arange(1, r + 1), owner.shape)
-    return np.concatenate([owner, other], 1), np.concatenate([other, owner], 1), k1, k2
+    i, j = np.concatenate([owner, other], 1), np.concatenate([other, owner], 1)
+    if ((i == j) & (k1 == 0) & (k2 == 0)).any():
+        raise ValueError("trivial weight: fixed points must be isolated")
+    return i, j, k1, k2
 
 
-def tangent_character(tup: DiagramTuple) -> TangentCharacter:
-    """Tangent weights at the fixed point of a diagram tuple, as counted by
-    `_tangent_weights`.
+def tangent_character(tup: DiagramTuple) -> Counter:
+    """Tangent weights at the fixed point of a diagram tuple, as the multiset
+    {(i, j, k1, k2): multiplicity} counted by `_tangent_weights`.
 
     Its largest array holds the column heights, read off a table of r(n+1)^2
     cells (row a of diagram i against column b). Tuples with r^2 + 2rn^2
@@ -90,10 +67,10 @@ def tangent_character(tup: DiagramTuple) -> TangentCharacter:
             f" over the limit {CELL_LIMIT}"
         )
     weights = (x.ravel().tolist() for x in _tangent_weights([tup], r, n))
-    return TangentCharacter(Counter(zip(*weights)))
+    return Counter(zip(*weights))
 
 
-def positive_weight_count(character: TangentCharacter, alpha: int) -> int:
+def positive_weight_count(character: Counter, alpha: int) -> int:
     """Number of tangent weights with k1 + alpha * k2 > 0.
 
     The framing directions carry no pairing: terms are classified purely by
@@ -103,7 +80,7 @@ def positive_weight_count(character: TangentCharacter, alpha: int) -> int:
     if alpha < 1:
         raise ValueError("alpha must be positive")
     return sum(
-        mult for (_, _, k1, k2), mult in character.terms.items() if k1 + alpha * k2 > 0
+        mult for (_, _, k1, k2), mult in character.items() if k1 + alpha * k2 > 0
     )
 
 

@@ -9,6 +9,7 @@ identity-verification boundary, from memoized, shared read-only products.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 
 from .partitions import PlanePartition, diagonal_partitions, enumerate_plane_partitions
@@ -91,17 +92,30 @@ def vuletic_weight_t0(pi: PlanePartition) -> FactorProduct:
     return vuletic_weight(pi).substitute_zero("t")
 
 
+def partition_sum(
+    order: int,
+    profile: TruncationProfile,
+    term: Callable[[PlanePartition], FactorProduct],
+    max_first_entry: int | None = None,
+) -> TruncatedSeries:
+    """Sum of term(pi) expanded to the caps, over the plane partitions pi of
+    size <= order (corner entry <= max_first_entry when given); refused by
+    check_partition_sum before any is enumerated."""
+    check_partition_sum(order, profile)
+    total = TruncatedSeries(profile)
+    for w in range(order + 1):
+        for pi in enumerate_plane_partitions(w, max_first_entry):
+            total = total + term(pi).expand(profile)
+    return total
+
+
 def vuletic_lhs(s_order: int, profile: TruncationProfile) -> TruncatedSeries:
     """Sum over all plane partitions of weight(pi) * s^|pi|, to the caps."""
     if profile.cap("s") != s_order:
         raise ValueError("profile must cap s at the requested order")
-    check_partition_sum(s_order, profile)
-    total = TruncatedSeries.zero(profile)
-    for w in range(s_order + 1):
-        for pi in enumerate_plane_partitions(w):
-            term = vuletic_weight(pi) * FactorProduct.monomial({"s": w})
-            total = total + term.expand(profile)
-    return total
+    return partition_sum(
+        s_order, profile, lambda pi: vuletic_weight(pi) * FactorProduct.monomial({"s": pi.weight})
+    )
 
 
 def vuletic_rhs(s_order: int, profile: TruncationProfile) -> TruncatedSeries:

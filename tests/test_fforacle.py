@@ -391,6 +391,12 @@ def test_sweep_needs_a_two_stage_chain(mu, nu, stages):
         sweep_chain_h(ChainInstance(mu, nu), 2)
 
 
+def test_sweep_refuses_counts_past_int64():
+    # 65537^4 tuples of the chain's four maps: refused before any space is built
+    with pytest.raises(BudgetExceededError, match="64-bit counts"):
+        sweep_chain_h(ChainInstance((1, 1), (1, 1), budget=10**30), 65537)
+
+
 # check_oracle's report when the second h of ((2, 2), (2, 1)) at p = 3
 # reads one count too many
 WRONG_H_REPORT = (

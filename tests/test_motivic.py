@@ -1,12 +1,11 @@
 import pytest
 
-from macmahon import motivic
+from macmahon import acceptance, motivic
 from macmahon.motivic import (
     bb_identity_check,
     commuting_grid_class,
     fixed_component_class,
     limit_class,
-    limit_class_check,
     limit_series_check,
     limit_series_lhs,
     moduli_space_class,
@@ -71,7 +70,7 @@ def test_limit_class_matches_t0_weight():
             lhs = vuletic_weight_t0(pi).rename("q", "L")
             rhs = limit_class(pi).factors
             assert lhs == rhs  # factored forms coincide box by box
-    report = limit_class_check(4, 12)
+    report = acceptance.check_limit_class(4, 12)
     assert report["match"]
     assert report["factored_matches"] == report["num_partitions"]
 

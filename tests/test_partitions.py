@@ -11,7 +11,6 @@ from macmahon.partitions import (
     diagonal_partitions,
     enumerate_diagram_tuples,
     enumerate_plane_partitions,
-    enumerate_young_diagrams,
     partition_of_tuple,
 )
 from macmahon.series import FactorProduct, TruncationProfile
@@ -66,7 +65,7 @@ def test_weight_two_golden_order():
 def test_max_first_entry_restricts_to_diagrams():
     pps = list(enumerate_plane_partitions(6, max_first_entry=1))
     assert len(pps) == 11  # 0/1 plane partitions of weight 6 = partitions of 6
-    assert len(pps) == sum(1 for _ in enumerate_young_diagrams(6))
+    assert len(pps) == sum(1 for _ in enumerate_diagram_tuples(1, 6))
     assert all(p.first_entry <= 1 for p in pps)
 
 
@@ -116,6 +115,19 @@ def test_diagram_tuple_enumeration():
         fp = fp * FactorProduct.from_factor({"s": k}, -2)
     expected = fp.expand(TruncationProfile(s=2)).coefficient({"s": 2})
     assert sum(1 for _ in enumerate_diagram_tuples(2, 2)) == expected == 5
+
+
+def _partitions(n, head):
+    # every partition of n with parts at most head, naively
+    if n == 0:
+        return [()]
+    return [(v,) + rest for v in range(1, min(n, head) + 1) for rest in _partitions(n - v, v)]
+
+
+def test_diagrams_in_descending_lexicographic_order():
+    for n in range(8):
+        rows = [t.diagrams[0].rows for t in enumerate_diagram_tuples(1, n)]
+        assert rows == sorted(_partitions(n, n), reverse=True)
 
 
 def test_partition_of_tuple_examples():

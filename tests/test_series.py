@@ -15,7 +15,7 @@ from macmahon.series import (
 
 
 def _random_series(profile, rng, terms=4, bound=3):
-    s = TruncatedSeries.zero(profile)
+    s = TruncatedSeries(profile)
     for _ in range(terms):
         exps = {v: rng.randint(0, c) for v, c in zip(profile.vars, profile.caps)}
         s = s + monomial(profile, exps, rng.randint(-bound, bound))
@@ -37,7 +37,7 @@ def test_basic_products():
     q = monomial(p, {"q": 1})
     minus_q = monomial(p, {"q": 1}, -1)
     assert sorted(mul(one(p) + q, one(p) + minus_q).coeffs.items()) == [((0,), 1), ((2,), -1)]
-    assert (one(p) + q) + TruncatedSeries.zero(p) == one(p) + q
+    assert (one(p) + q) + TruncatedSeries(p) == one(p) + q
 
 
 def test_mixed_variable_coefficient():

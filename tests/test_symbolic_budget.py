@@ -78,7 +78,7 @@ def no_enumeration(monkeypatch):
         lambda: acceptance.check_vuletic(100_000, 0, 0),
         lambda: motivic.refined_macmahon_lhs(None, 30, 4),
         lambda: motivic.limit_series_lhs(30, 4),
-        lambda: motivic.limit_class_check(40, 8),
+        lambda: acceptance.check_limit_class(40, 8),
         lambda: acceptance.check_macmahon_baseline(100_000),
         lambda: motivic.bb_identity_check(3, 40),
     ],
@@ -113,12 +113,24 @@ def test_enumeration_bounds():
     vuletic.check_partition_sum(11, TruncationProfile(t=11, L=2 * 6 * 11))
 
 
-def test_product_building_is_linear():
-    # 20,000 factors merged in one pass, then the expansion is refused
-    started = time.perf_counter()
+def test_product_building_is_linear(monkeypatch):
+    # 4 (l_order + 1) factors merged in one pass, then the expansion is
+    # refused; twice the factors must take well under the 4x of a quadratic
+    # build. The first refusal is at the real limit and warms up the caches;
+    # the timed ones, best of three taken in turn on this process's CPU clock
+    # (other load on the machine does not count), use a lower limit, so that
+    # l_order 2,500 is refused too.
     with pytest.raises(BudgetExceededError, match="slice updates"):
         motivic.limit_series_rhs(4, 5000)
-    assert time.perf_counter() - started < 1.0
+    monkeypatch.setattr(series, "EXPAND_LIMIT", 10**8)
+    times = {2500: [], 5000: []}
+    for _ in range(3):
+        for l_order, taken in times.items():
+            started = time.process_time()
+            with pytest.raises(BudgetExceededError, match="slice updates"):
+                motivic.limit_series_rhs(4, l_order)
+            taken.append(time.process_time() - started)
+    assert min(times[5000]) / min(times[2500]) < 3
 
 
 @pytest.mark.parametrize(
