@@ -26,7 +26,6 @@ from .partitions import (
     PlanePartition,
     YoungDiagram,
     chi,
-    diagonal_partitions,
     enumerate_diagram_tuples,
     enumerate_plane_partitions,
     partition_of_tuple,
@@ -63,7 +62,6 @@ __all__ = [
     "commuting_grid_class",
     "count_chain_points",
     "count_grid_points",
-    "diagonal_partitions",
     "enumerate_diagram_tuples",
     "enumerate_plane_partitions",
     "fixed_component_class",

@@ -71,13 +71,13 @@ def identity_report(lhs: TruncatedSeries, rhs: TruncatedSeries, **params) -> dic
     return report
 
 
-def _box_factorial_ratio(pi: PlanePartition, var: str = "L") -> FactorProduct:
+def _box_factorial_ratio(pi: PlanePartition) -> FactorProduct:
     # prod over boxes of [a - diag]! / ([a - below]! [a - right]!) with
     # a = pi[i,j]; boxes outside the support contribute 1.
     boxes = list(pi.support())
     return FactorProduct.prod(
-        (q_factorial(pi.entry(i, j) - pi.entry(i + 1, j + 1), var) for i, j in boxes),
-        (q_factorial(pi.entry(i, j) - pi.entry(i + di, j + dj), var)
+        (q_factorial(pi.entry(i, j) - pi.entry(i + 1, j + 1), "L") for i, j in boxes),
+        (q_factorial(pi.entry(i, j) - pi.entry(i + di, j + dj), "L")
          for i, j in boxes for di, dj in ((1, 0), (0, 1))),
     )
 

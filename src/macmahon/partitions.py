@@ -50,19 +50,9 @@ class YoungDiagram:
     def weight(self) -> int:
         return sum(self.rows)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def row(self, i: int) -> int:
         """Length of row i; 0 outside the diagram."""
         return self.rows[i] if 0 <= i < len(self.rows) else 0
-
-    def part(self, k: int) -> int:
-        """One-based part, 0 beyond the last row."""
-        return self.row(k - 1)
-
-    def contains(self, i: int, j: int) -> bool:
-        return 0 <= i and 0 <= j < self.row(i)
 
     def to_list(self) -> list[int]:
         return list(self.rows)
@@ -256,7 +246,8 @@ def enumerate_diagram_tuples(r: int, n: int) -> Iterator[DiagramTuple]:
 
 
 def partition_of_tuple(tup: DiagramTuple) -> PlanePartition:
-    """Plane partition counting, per box, how many diagrams contain it.
+    """Plane partition counting, per box, how many diagrams contain it: entry
+    (i, j) is the number of diagrams whose row i is longer than j.
 
     Membership indicators of Young diagrams are monotone in both directions,
     so the counts always form a valid plane partition; the constructor
@@ -264,35 +255,11 @@ def partition_of_tuple(tup: DiagramTuple) -> PlanePartition:
     silent wrong answer.
     """
     depth = max((len(d.rows) for d in tup.diagrams), default=0)
-    width = max((d.row(0) for d in tup.diagrams), default=0)
-    rows = [
-        [sum(1 for d in tup.diagrams if d.contains(i, j)) for j in range(width)]
-        for i in range(depth)
-    ]
+    rows = []
+    for i in range(depth):
+        lengths = [d.row(i) for d in tup.diagrams]
+        rows.append([sum(1 for n in lengths if n > j) for j in range(max(lengths))])
     return PlanePartition(rows)
-
-
-def diagonal_partitions(
-    pi: PlanePartition, i: int, j: int
-) -> tuple[YoungDiagram, YoungDiagram, YoungDiagram]:
-    """Diagonal slices through (i, j) and through its two neighbors.
-
-    Returns (through, below, right): the entries (pi[i,j], pi[i+1,j+1], ...),
-    (pi[i+1,j], pi[i+2,j+1], ...) and (pi[i,j+1], pi[i+1,j+2], ...) with
-    trailing zeros trimmed. The box must lie in the support.
-    """
-    if pi.entry(i, j) <= 0:
-        raise ValueError(f"box ({i}, {j}) outside the support")
-
-    def slice_from(i0: int, j0: int) -> YoungDiagram:
-        vals = []
-        k = 0
-        while pi.entry(i0 + k, j0 + k) > 0:
-            vals.append(pi.entry(i0 + k, j0 + k))
-            k += 1
-        return YoungDiagram(vals)
-
-    return slice_from(i, j), slice_from(i + 1, j), slice_from(i, j + 1)
 
 
 def chi(pi: PlanePartition) -> int:

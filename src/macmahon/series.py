@@ -295,25 +295,29 @@ class FactorProduct:
         if start is None:
             return TruncatedSeries(profile)
         shape = tuple(c - s + 1 for c, s in zip(profile.caps, start))
-        steps, updates = [], 0
+        # (vec, shifts 2^k vec that fit, mult): one shift for a numerator
+        plan, updates = [], 0
         for key, mult in self.factors.items():
-            vec = profile.coordinates(key)
-            shifts = []
-            while vec is not None and all(e < n for e, n in zip(vec, shape)):
-                shifts.append((tuple(slice(e, None) for e in vec),
-                               tuple(slice(0, n - e) for e, n in zip(vec, shape))))
-                vec = tuple(2 * e for e in vec) if mult < 0 else None
-            if shifts:
-                steps.append((np.subtract if mult > 0 else np.add, shifts, abs(mult)))
-                updates += len(shifts) * abs(mult)
+            vec, fits = profile.coordinates(key), 0
+            while vec is not None and (mult < 0 or not fits) and all(
+                (e << fits) < n for e, n in zip(vec, shape)
+            ):
+                fits += 1
+            if fits:
+                plan.append((vec, fits, mult))
+                updates += fits * abs(mult)
         if updates * prod(shape) > EXPAND_LIMIT:
             raise BudgetExceededError(
                 f"{updates} slice updates of {prod(shape)} cells exceed the limit {EXPAND_LIMIT}"
             )
         a = np.zeros(shape, dtype=object)
         a[(0,) * len(shape)] = self.coeff
-        for ufunc, shifts, rounds in steps:
-            for _ in range(rounds):
+        for vec, fits, mult in plan:
+            ufunc = np.subtract if mult > 0 else np.add
+            shifts = [(tuple(slice(e << k, None) for e in vec),
+                       tuple(slice(0, n - (e << k)) for e, n in zip(vec, shape)))
+                      for k in range(fits)]
+            for _ in range(abs(mult)):
                 for hi, lo in shifts:
                     view = a[hi]
                     ufunc(view, a[lo], out=view)

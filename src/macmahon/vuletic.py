@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
-from .partitions import PlanePartition, diagonal_partitions, enumerate_plane_partitions
+from .partitions import PlanePartition, enumerate_plane_partitions
 from .series import BudgetExceededError, FactorProduct, TruncatedSeries, TruncationProfile
 
 # Most work a sum over plane partitions may do: the partitions of size at
@@ -54,32 +54,36 @@ def _level_ratio(a: int, b: int, c: int, d: int, m: int) -> FactorProduct:
     return FactorProduct.prod((little_f(a, m), little_f(b, m)), (little_f(c, m), little_f(d, m)))
 
 
-def _level_factor(top: int, lam, mu, nu, m: int) -> FactorProduct:
-    return _level_ratio(
-        top - mu.part(m + 1),
-        top - nu.part(m + 1),
-        top - lam.part(m + 1),
-        top - lam.part(m + 2),
-        m,
-    )
-
-
 def box_weight(pi: PlanePartition, i: int, j: int) -> FactorProduct:
     """Weight of box (i, j): the product over levels m of
 
         f(a - mu_{m+1}, m) f(a - nu_{m+1}, m) / (f(a - lam_{m+1}, m) f(a - lam_{m+2}, m))
 
-    where a = pi[i,j] and lam, mu, nu are the diagonal slices through the box
-    and its lower/right neighbors. Beyond max(len(lam), len(mu), len(nu))
-    every level collapses to 1; the cutoff is checked, not trusted: the next
-    level must be the identity.
+    where a = pi[i,j] and lam_k = pi[i+k-1, j+k-1], mu_k = pi[i+k, j+k-1],
+    nu_k = pi[i+k-1, j+k] run down the diagonals through the box and its
+    lower/right neighbors. Since mu_k, nu_k <= lam_k, every level past the
+    positive lam_k collapses to 1; the cutoff is checked, not trusted: the
+    next level must be the identity.
     """
-    lam, mu, nu = diagonal_partitions(pi, i, j)
-    top = lam.part(1)
-    cut = max(len(lam), len(mu), len(nu))
-    if not _level_factor(top, lam, mu, nu, cut).is_one():
+    top = pi.entry(i, j)
+    if top <= 0:
+        raise ValueError(f"box ({i}, {j}) outside the support")
+
+    def level(m: int) -> FactorProduct:
+        return _level_ratio(
+            top - pi.entry(i + m + 1, j + m),
+            top - pi.entry(i + m, j + m + 1),
+            top - pi.entry(i + m, j + m),
+            top - pi.entry(i + m + 1, j + m + 1),
+            m,
+        )
+
+    cut = 1
+    while pi.entry(i + cut, j + cut) > 0:
+        cut += 1
+    if not level(cut).is_one():
         raise RuntimeError(f"box weight cutoff unstable at box ({i}, {j}) of {pi!r}")
-    return FactorProduct.prod(_level_factor(top, lam, mu, nu, m) for m in range(cut))
+    return FactorProduct.prod(level(m) for m in range(cut))
 
 
 def vuletic_weight(pi: PlanePartition) -> FactorProduct:

@@ -3,14 +3,18 @@ convolution of truncated series (the reference of the dense expansion
 kernel), the pairwise merge of factored products (the reference of
 FactorProduct.prod), the transpose of a plane partition, scalar
 elimination mod p (the reference of the oracle's batched rank test), the
-oracle's surjective spaces as tuples, and arms, legs and the per-box loop
-of the tangent character (the reference of its batched weight kernel)."""
+oracle's surjective spaces as tuples, arms, legs and the per-box loop
+of the tangent character (the reference of its batched weight kernel), the
+diagonal-slice transcription of the box weight, and the per-box membership
+count of a diagram tuple's plane partition."""
 
 from collections import Counter
+from functools import reduce
 
 from macmahon import fforacle
 from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
+from macmahon.vuletic import little_f
 
 
 def one(profile: TruncationProfile) -> TruncatedSeries:
@@ -118,3 +122,49 @@ def tangent_terms(tup: DiagramTuple) -> Counter:
             for (a, b) in boxes_j:
                 terms[(i0, j0, leg(di, a, b) + 1, -arm(dj, a, b))] += 1
     return terms
+
+
+def diagonal_partitions(pi: PlanePartition, i: int, j: int) -> tuple[YoungDiagram, ...]:
+    """Diagonal slices through (i, j) and through its two neighbors:
+    (through, below, right) are the entries (pi[i,j], pi[i+1,j+1], ...),
+    (pi[i+1,j], pi[i+2,j+1], ...) and (pi[i,j+1], pi[i+1,j+2], ...) up to the
+    first zero. The box must lie in the support."""
+    if pi.entry(i, j) <= 0:
+        raise ValueError(f"box ({i}, {j}) outside the support")
+
+    def slice_from(i0: int, j0: int) -> YoungDiagram:
+        vals = []
+        while pi.entry(i0 + len(vals), j0 + len(vals)) > 0:
+            vals.append(pi.entry(i0 + len(vals), j0 + len(vals)))
+        return YoungDiagram(vals)
+
+    return slice_from(i, j), slice_from(i + 1, j), slice_from(i, j + 1)
+
+
+def reference_box_weight(pi: PlanePartition, i: int, j: int) -> FactorProduct:
+    """The box weight from the diagonal slices lam, mu, nu, with the cut
+    max(len(lam), len(mu), len(nu)): the pairwise product of the levels
+
+        f(a - mu_{m+1}, m) f(a - nu_{m+1}, m) / (f(a - lam_{m+1}, m) f(a - lam_{m+2}, m))
+
+    for m up to and including the cut, so a level past the cut that is not 1
+    shows as a different weight."""
+    lam, mu, nu = diagonal_partitions(pi, i, j)
+    a = lam.row(0)
+    cut = max(len(lam.rows), len(mu.rows), len(nu.rows))
+    levels = [
+        reduce(factor_mul, [little_f(a - mu.row(m), m), little_f(a - nu.row(m), m),
+                            factor_inverse(little_f(a - lam.row(m), m)),
+                            factor_inverse(little_f(a - lam.row(m + 1), m))])
+        for m in range(cut + 1)
+    ]
+    return reduce(factor_mul, levels)
+
+
+def reference_partition_of_tuple(tup: DiagramTuple) -> PlanePartition:
+    """Entry (a, b) counts the diagrams that hold box (a, b), box by box."""
+    held = Counter((a, b) for d in tup.diagrams for a, length in enumerate(d.rows)
+                   for b in range(length))
+    depth = 1 + max((a for a, _ in held), default=-1)
+    width = 1 + max((b for _, b in held), default=-1)
+    return PlanePartition([[held[(a, b)] for b in range(width)] for a in range(depth)])

@@ -36,3 +36,8 @@ def test_library_layout_names_resolve():
             except AttributeError:
                 missing.append(f"{module_name}: {name}")
     assert missing == []
+
+
+def test_every_exported_name_is_in_the_layout():
+    listed = {name for _, contents in _layout_rows() for name in re.findall(r"`([^`]+)`", contents)}
+    assert sorted(set(macmahon.__all__) - listed) == []

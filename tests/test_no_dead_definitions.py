@@ -1,0 +1,42 @@
+"""Every function and class in the package is used: referenced somewhere in
+the package source, or exported in `macmahon.__all__`. A reference is a name,
+an attribute, or a string constant (the CLI looks its checks up by name). A
+method is reached only through an attribute or a string, so a local variable
+of the same name does not keep it alive. Dunder methods are called by Python
+itself and are exempt."""
+
+import ast
+from pathlib import Path
+
+import macmahon
+
+PACKAGE = Path(macmahon.__file__).resolve().parent
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_every_definition_is_referenced_or_exported():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert len(trees) >= 9
+    names, attributes = set(), set(macmahon.__all__)
+    methods = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attributes.add(node.value)
+            elif isinstance(node, ast.ClassDef):
+                methods.update(f for f in node.body if isinstance(f, DEFINITIONS))
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes
+        and (node in methods or node.name not in names)
+    ]
+    assert dead == [], f"definitions nothing in the package uses: {dead}"

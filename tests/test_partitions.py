@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import arm, leg, transpose
+from reference import arm, leg, reference_partition_of_tuple, transpose
 
 from macmahon.partitions import (
     DiagramTuple,
     PlanePartition,
     YoungDiagram,
     chi,
-    diagonal_partitions,
     enumerate_diagram_tuples,
     enumerate_plane_partitions,
     partition_of_tuple,
@@ -140,36 +139,15 @@ def test_partition_of_tuple_examples():
 
 
 def test_partition_of_tuple_always_valid():
+    # against the per-box membership count: [[2,1],[1]] above is its own
+    # transpose, so only these tuples tell rows from columns
     for r in (1, 2, 3):
-        for n in range(6):
+        for n in range(7):
             for tup in enumerate_diagram_tuples(r, n):
                 pi = partition_of_tuple(tup)
+                assert pi == reference_partition_of_tuple(tup), tup
                 assert pi.weight == n
                 assert pi.first_entry <= r
-
-
-def test_diagonal_partitions_examples():
-    lam, mu, nu = diagonal_partitions(PlanePartition([[1]]), 0, 0)
-    assert (lam.rows, mu.rows, nu.rows) == ((1,), (), ())
-    lam, mu, nu = diagonal_partitions(PlanePartition([[2, 1], [1]]), 0, 0)
-    assert (lam.rows, mu.rows, nu.rows) == ((2,), (1,), (1,))
-    lam, mu, nu = diagonal_partitions(PlanePartition([[3, 2], [2, 1]]), 0, 0)
-    assert (lam.rows, mu.rows, nu.rows) == ((3, 1), (2,), (2,))
-
-
-def test_diagonal_partitions_valid_everywhere():
-    for n in range(7):
-        for pi in enumerate_plane_partitions(n):
-            for i, j in pi.support():
-                lam, mu, nu = diagonal_partitions(pi, i, j)
-                assert lam.part(1) == pi.entry(i, j) >= 1
-                for d in (lam, mu, nu):
-                    assert all(a >= b for a, b in zip(d.rows, d.rows[1:]))
-
-
-def test_diagonal_partitions_outside_support():
-    with pytest.raises(ValueError):
-        diagonal_partitions(PlanePartition([[1]]), 0, 1)
 
 
 def test_chi_values():

@@ -47,6 +47,24 @@ def test_expand_over_work_limit_refused_before_allocation(monkeypatch):
         fp.expand(profile)
 
 
+def test_expand_limit_counts_doublings_and_refuses_before_any_slice(monkeypatch):
+    # (1 - q)^-1 on 5 cells is one slice add per doubling q, q^2, q^4 that
+    # fits: 3 updates of 5 cells, 15, so a count off by one fails
+    fp = FactorProduct.from_factor({"q": 1}, -1)
+    profile = TruncationProfile(q=4)
+    monkeypatch.setattr(series, "EXPAND_LIMIT", 15)
+    assert sorted(fp.expand(profile).coeffs.items()) == [((e,), 1) for e in range(5)]
+
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a slice was built")
+
+    monkeypatch.setattr(series, "slice", no_slice, raising=False)
+    monkeypatch.setattr(series.np, "zeros", no_slice)
+    monkeypatch.setattr(series, "EXPAND_LIMIT", 14)
+    with pytest.raises(BudgetExceededError, match="^3 slice updates of 5 cells exceed the limit 14$"):
+        fp.expand(profile)
+
+
 def test_partition_sum_counts_from_macmahon_series(monkeypatch):
     # 1,124 plane partitions of size <= 10 (OEIS A000219), one cell each
     profile = TruncationProfile(s=0)

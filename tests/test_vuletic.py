@@ -1,13 +1,10 @@
-from functools import reduce
-
 import pytest
-from reference import factor_inverse, factor_mul, one, transpose
+from reference import factor_inverse, one, reference_box_weight, transpose
 
 from macmahon import vuletic
-from macmahon.partitions import PlanePartition, diagonal_partitions, enumerate_plane_partitions
+from macmahon.partitions import PlanePartition, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncationProfile, q_factorial
 from macmahon.vuletic import (
-    _level_factor,
     box_weight,
     little_f,
     vuletic_lhs,
@@ -52,29 +49,29 @@ def test_box_weight_outside_support():
         box_weight(PlanePartition([[1]]), 1, 0)
 
 
-def test_cutoff_is_stable():
-    # adding extra levels beyond the automatic cutoff must not change anything
-    for n in range(7):
+def test_box_weight_equals_diagonal_slice_reference():
+    # entries read straight off the diagonals, cut at the positive entries of
+    # the box's own diagonal, against the slices cut at their longest, with
+    # one level past that cut multiplied in
+    boxes = 0
+    for n in range(9):
         for pi in enumerate_plane_partitions(n):
             for i, j in pi.support():
-                lam, mu, nu = diagonal_partitions(pi, i, j)
-                cut = max(len(lam), len(mu), len(nu))
-                levels = [_level_factor(pi.entry(i, j), lam, mu, nu, m) for m in range(cut + 1)]
-                assert box_weight(pi, i, j) == reduce(factor_mul, levels, FactorProduct())
-                assert levels[cut].is_one()
+                assert box_weight(pi, i, j) == reference_box_weight(pi, i, j), (pi, i, j)
+                boxes += 1
+    assert boxes == 1570
 
 
 def test_unstable_cutoff_raises(monkeypatch):
     # a level past the cutoff that is not the identity is refused, also under -O
-    real = vuletic._level_factor
+    real = vuletic._level_ratio
 
-    def perturbed(top, lam, mu, nu, m):
-        out = real(top, lam, mu, nu, m)
+    def perturbed(a, b, c, d, m):
+        out = real(a, b, c, d, m)
         return out * FactorProduct.from_factor({"q": 1}) if m == 1 else out
 
-    monkeypatch.setattr(vuletic, "_level_factor", perturbed)
-    lam, mu, nu = diagonal_partitions(PlanePartition([[1]]), 0, 0)
-    assert vuletic._level_factor(1, lam, mu, nu, 0) == little_f(1, 0)
+    monkeypatch.setattr(vuletic, "_level_ratio", perturbed)
+    assert vuletic._level_ratio(1, 1, 0, 1, 0) == little_f(1, 0)
     with pytest.raises(RuntimeError, match="cutoff unstable"):
         box_weight(PlanePartition([[1]]), 0, 0)
 
