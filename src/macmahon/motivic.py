@@ -18,6 +18,7 @@ from .series import (
     NotPolynomialError,
     TruncatedSeries,
     TruncationProfile,
+    _alphabet_vector,
     gl_class,
     q_factorial,
 )
@@ -73,13 +74,22 @@ def identity_report(lhs: TruncatedSeries, rhs: TruncatedSeries, **params) -> dic
 
 def _box_factorial_ratio(pi: PlanePartition) -> FactorProduct:
     # prod over boxes of [a - diag]! / ([a - below]! [a - right]!) with
-    # a = pi[i,j]; boxes outside the support contribute 1.
-    boxes = list(pi.support())
-    return FactorProduct.prod(
-        (q_factorial(pi.entry(i, j) - pi.entry(i + 1, j + 1), "L") for i, j in boxes),
-        (q_factorial(pi.entry(i, j) - pi.entry(i + di, j + dj), "L")
-         for i, j in boxes for di, dj in ((1, 0), (0, 1))),
-    )
+    # a = pi[i,j]; boxes outside the support contribute 1. [n]! holds
+    # (1 - L^k) once for each k <= n, so the multiplicity of (1 - L^k) is
+    # the number of numerator orders >= k less the denominator orders >= k.
+    tally = [0] * (pi.first_entry + 1)
+    for row, below in zip(pi.rows, pi.rows[1:] + ((),)):
+        below += (0,) * (len(row) + 1 - len(below))
+        for a, right, b, diag in zip(row, row[1:] + (0,), below, below[1:]):
+            tally[a - diag] += 1
+            tally[a - b] -= 1
+            tally[a - right] -= 1
+    factors, mult = {}, 0
+    for k in range(len(tally) - 1, 0, -1):
+        mult += tally[k]
+        if mult:
+            factors[_alphabet_vector({"L": k})] = mult
+    return FactorProduct(factors=factors)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -264,6 +264,4 @@ def partition_of_tuple(tup: DiagramTuple) -> PlanePartition:
 
 def chi(pi: PlanePartition) -> int:
     """Sum of entry * (entry - right neighbor) over all boxes."""
-    return sum(
-        pi.entry(i, j) * (pi.entry(i, j) - pi.entry(i, j + 1)) for i, j in pi.support()
-    )
+    return sum(a * (a - b) for row in pi.rows for a, b in zip(row, row[1:] + (0,)))

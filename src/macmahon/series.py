@@ -61,7 +61,7 @@ def _alphabet_vector(exponents: Mapping[str, int]) -> Vector:
 def _pairs(vec: Vector) -> tuple[tuple[str, int], ...]:
     """The nonzero (variable, exponent) pairs of a vector, in ALPHABET order.
 
-    Also the sort key that orders factors for certification and display.
+    Also the sort key that orders factors for display.
     """
     return tuple((v, e) for v, e in zip(ALPHABET, vec) if e)
 
@@ -276,9 +276,6 @@ class FactorProduct:
             self.coeff, rekey(self.mono), {rekey(k): m for k, m in self.factors.items()}
         )
 
-    def _ordered_factors(self) -> list[tuple[Vector, int]]:
-        return sorted(self.factors.items(), key=lambda item: _pairs(item[0]))
-
     def expand(self, profile: TruncationProfile) -> TruncatedSeries:
         """Exact expansion truncated to the profile, on one dense array of
         Python ints that starts at the monomial (no cell below it is reached).
@@ -338,23 +335,21 @@ class FactorProduct:
             return None, {0: self.coeff}
         var = vars_used.pop()
         i = _ALPHABET_INDEX[var]
-        poly = {0: self.coeff}
+        poly = [self.coeff]  # coefficients indexed by degree
         negatives: list[tuple[int, int]] = []
-        for key, mult in self._ordered_factors():
+        for key, mult in sorted(self.factors.items()):
             if mult > 0:
                 for _ in range(mult):
-                    poly = _mul_one_minus(poly, key[i])
+                    _mul_one_minus(poly, key[i])
             else:
                 negatives.append((key[i], -mult))
         for e, count in negatives:
             for _ in range(count):
-                poly = _div_one_minus(poly, e)
+                _div_one_minus(poly, e)
         shift = self.mono[i]
-        if shift:
-            if shift < 0 and any(d < -shift for d in poly):
-                raise NotPolynomialError("monomial denominator does not divide")
-            poly = {d + shift: c for d, c in poly.items()}
-        return var, poly
+        if shift < 0:  # the constant term of a product of factors is never 0
+            raise NotPolynomialError("monomial denominator does not divide")
+        return var, {d + shift: c for d, c in enumerate(poly) if c}
 
     def _key(self) -> tuple:
         return (self.coeff, self.mono, tuple(sorted(self.factors.items())))
@@ -369,35 +364,26 @@ class FactorProduct:
         parts = [] if self.coeff == 1 else ["-"]
         if self.mono != _ZERO:
             parts.append(fmt_mono(self.mono))
-        for key, m in self._ordered_factors():
+        for key, m in sorted(self.factors.items(), key=lambda item: _pairs(item[0])):
             parts.append(f"(1 - {fmt_mono(key)})^{m}" if m != 1 else f"(1 - {fmt_mono(key)})")
         return "FactorProduct[" + (" ".join(parts) or "1") + "]"
 
 
-def _mul_one_minus(poly: dict[int, int], e: int) -> dict[int, int]:
-    out = dict(poly)
-    for d, c in poly.items():
-        nc = out.get(d + e, 0) - c
-        if nc:
-            out[d + e] = nc
-        else:
-            out.pop(d + e, None)
-    return out
+def _mul_one_minus(poly: list[int], e: int) -> None:
+    """poly *= (1 - x^e), in place on a dense coefficient list."""
+    poly += [0] * e
+    poly[e:] = [c - d for c, d in zip(poly[e:], poly)]
 
 
-def _div_one_minus(poly: dict[int, int], e: int) -> dict[int, int]:
-    """Exact quotient poly / (1 - x^e); verified by multiplying back."""
-    if not poly:
-        return {}
-    deg = max(poly)
-    q: dict[int, int] = {}
-    for d in range(deg + 1):
-        c = poly.get(d, 0) + q.get(d - e, 0)
-        if c:
-            q[d] = c
-    if _mul_one_minus(q, e) != poly:
+def _div_one_minus(poly: list[int], e: int) -> None:
+    """poly /= (1 - x^e), in place and exact: the recurrence q[d] = poly[d] +
+    q[d - e] runs over every degree, and the division is exact exactly when
+    it leaves zeros in the top e degrees, past the quotient's degree."""
+    for d in range(e, len(poly)):
+        poly[d] += poly[d - e]
+    if len(poly) <= e or any(poly[len(poly) - e:]):
         raise NotPolynomialError(f"factor (1 - x^{e}) does not divide exactly")
-    return q
+    del poly[len(poly) - e:]
 
 
 @lru_cache(maxsize=None, typed=True)

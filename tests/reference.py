@@ -5,15 +5,16 @@ FactorProduct.prod), the transpose of a plane partition, scalar
 elimination mod p (the reference of the oracle's batched rank test), the
 oracle's surjective spaces as tuples, arms, legs and the per-box loop
 of the tangent character (the reference of its batched weight kernel), the
-diagonal-slice transcription of the box weight, and the per-box membership
-count of a diagram tuple's plane partition."""
+diagonal-slice transcription of the box weight, the per-box membership
+count of a diagram tuple's plane partition, the q-factorial transcription
+of the box-factorial ratio, and the per-box entry reads of chi."""
 
 from collections import Counter
 from functools import reduce
 
 from macmahon import fforacle
 from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram
-from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile
+from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
 from macmahon.vuletic import little_f
 
 
@@ -168,3 +169,20 @@ def reference_partition_of_tuple(tup: DiagramTuple) -> PlanePartition:
     depth = 1 + max((a for a, _ in held), default=-1)
     width = 1 + max((b for _, b in held), default=-1)
     return PlanePartition([[held[(a, b)] for b in range(width)] for a in range(depth)])
+
+
+def reference_box_factorial_ratio(pi: PlanePartition) -> FactorProduct:
+    """prod over the boxes of [a - diag]! / ([a - below]! [a - right]!) with
+    a = pi[i,j], one q-factorial in L per order."""
+    boxes = list(pi.support())
+    return FactorProduct.prod(
+        (q_factorial(pi.entry(i, j) - pi.entry(i + 1, j + 1), "L") for i, j in boxes),
+        (q_factorial(pi.entry(i, j) - pi.entry(i + di, j + dj), "L")
+         for i, j in boxes for di, dj in ((1, 0), (0, 1))),
+    )
+
+
+def reference_chi(pi: PlanePartition) -> int:
+    """Sum of entry * (entry - right neighbor) over the boxes, three entry
+    reads per box."""
+    return sum(pi.entry(i, j) * (pi.entry(i, j) - pi.entry(i, j + 1)) for i, j in pi.support())

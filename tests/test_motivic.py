@@ -1,4 +1,5 @@
 import pytest
+from reference import reference_box_factorial_ratio
 
 from macmahon import acceptance, motivic
 from macmahon.motivic import (
@@ -34,6 +35,12 @@ def test_rank_one_components_are_points():
 def test_rank_three_single_box():
     poly = fixed_component_class(3, PlanePartition([[1]])).polynomial()
     assert poly == {0: 1, 1: 1, 2: 1}
+
+
+def test_box_factorial_ratio_equals_q_factorial_reference():
+    for n in range(9):
+        for pi in enumerate_plane_partitions(n):
+            assert motivic._box_factorial_ratio(pi) == reference_box_factorial_ratio(pi), pi
 
 
 def test_corner_entry_above_rank_rejected():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import arm, leg, reference_partition_of_tuple, transpose
+from reference import arm, leg, reference_chi, reference_partition_of_tuple, transpose
 
 from macmahon.partitions import (
     DiagramTuple,
@@ -154,6 +154,14 @@ def test_chi_values():
     assert chi(PlanePartition()) == 0
     assert chi(PlanePartition([[1]])) == 1
     assert chi(PlanePartition([[2, 1], [1]])) == 2 * 1 + 1 * 1 + 1 * 1
+
+
+def test_chi_equals_per_box_reference():
+    # chi is not transpose-invariant, so this tells rows from columns
+    assert chi(PlanePartition([[1, 1]])) == 1 and chi(PlanePartition([[1], [1]])) == 2
+    for n in range(9):
+        for pi in enumerate_plane_partitions(n):
+            assert chi(pi) == reference_chi(pi), pi
 
 
 def test_chi_positive_except_empty():

@@ -165,6 +165,13 @@ def test_to_polynomial_rejects_nonpolynomial():
         FactorProduct.from_factor({"q": 1}, -1).to_polynomial()
     with pytest.raises(NotPolynomialError):
         (FactorProduct.from_factor({"q": 1}) * FactorProduct.from_factor({"t": 1})).to_polynomial()
+    with pytest.raises(NotPolynomialError, match="monomial denominator"):
+        (FactorProduct.monomial({"L": -1}) * FactorProduct.from_factor({"L": 1})).to_polynomial()
+    # the quotient's degree would be -2, and (1 - L^3)/(1 - L^2) leaves a remainder
+    for num, den in ((1, 3), (3, 2)):
+        fp = FactorProduct.from_factor({"L": num}) / FactorProduct.from_factor({"L": den})
+        with pytest.raises(NotPolynomialError, match="does not divide exactly"):
+            fp.to_polynomial()
 
 
 def test_substitute_zero():

@@ -1,5 +1,6 @@
 """Property tests of FactorProduct against naive references: TruncatedSeries
-products for the expansion, the pairwise merge for FactorProduct.prod."""
+products for the expansion, the pairwise merge for FactorProduct.prod, and
+cyclotomic multiplicities for polynomial certification."""
 
 from functools import reduce
 
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import factor_inverse, factor_mul, monomial, mul, one
 
-from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
+from macmahon.series import (
+    FactorProduct,
+    NotPolynomialError,
+    TruncatedSeries,
+    TruncationProfile,
+    q_factorial,
+)
 
 VARS = ("q", "t", "s")
 PROFILE = TruncationProfile(q=3, t=2, s=2)
@@ -136,6 +143,35 @@ def test_to_polynomial_agrees_with_expand(shift, numerator, n, data):
     cap = max(poly) + 2
     expected = {(d,): c for d, c in poly.items() if c}
     assert fp.expand(TruncationProfile(L=cap)).coeffs == expected
+
+
+@settings_
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(-2, 3),
+    st.dictionaries(st.integers(1, 8), st.integers(-2, 2), max_size=8),
+)
+def test_to_polynomial_certifies_exactly_the_cyclotomic_polynomials(coeff, shift, mults):
+    # With Psi_1 = 1 - L and Psi_d = Phi_d for d > 1, 1 - L^k is the product
+    # of Psi_d over the divisors d of k. The Psi_d are pairwise coprime
+    # irreducibles, so the product is a polynomial exactly when L^shift and
+    # every Psi_d have nonnegative total multiplicity.
+    fp = FactorProduct.prod(
+        [FactorProduct.monomial({"L": shift}, coeff)]
+        + [FactorProduct.from_factor({"L": k}, m) for k, m in mults.items()]
+    )
+    polynomial = shift >= 0 and all(
+        sum(m for k, m in mults.items() if k % d == 0) >= 0 for d in range(1, 9)
+    )
+    if not polynomial:
+        with pytest.raises(NotPolynomialError):
+            fp.to_polynomial()
+        return
+    var, poly = fp.to_polynomial()
+    assert var in (None, "L")
+    cap = max(poly) + 2
+    assert fp.expand(TruncationProfile(L=cap)).coeffs == {(d,): c for d, c in poly.items()}
+    assert all(poly.values())
 
 
 # -- the dense expansion kernel against the naive products -------------------
