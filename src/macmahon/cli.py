@@ -69,7 +69,7 @@ def _parse_tuple(text: str) -> DiagramTuple:
 
 def _run_enumerate(args) -> tuple[int, dict]:
     # a listed partition holds at most n entries: n + 1 cells apiece (a
-    # negative n is left to the enumerator's error)
+    # negative n is refused by check_partition_sum, in the enumerator's words)
     check_partition_sum(args.n, TruncationProfile(s=max(args.n, 0)))
     partitions = [p.to_lists() for p in enumerate_plane_partitions(args.n, args.max_entry)]
     payload = {"count": len(partitions), "partitions": partitions}

@@ -16,15 +16,18 @@ from .partitions import PlanePartition, enumerate_plane_partitions
 from .series import BudgetExceededError, FactorProduct, TruncatedSeries, TruncationProfile
 
 # Most work a sum over plane partitions may do: the partitions of size at
-# most the order times the cells of the profile (605,836 at s10 q6 t6).
+# most the order times the cells of the profile (605,836 at s10 q6 t6), an
+# upper bound on the expansion work, since like terms expand once.
 SUM_LIMIT = 10**7
 
 
 def check_partition_sum(order: int, profile: TruncationProfile) -> None:
     """Refuse (BudgetExceededError), before any is enumerated, a sum over the
     plane partitions of size <= order whose count times cells passes
-    SUM_LIMIT. The counts a_n of MacMahon's series prod_k (1 - s^k)^-k come
-    from its log-derivative, n a_n = sum_{j<=n} sigma_2(j) a_{n-j}."""
+    SUM_LIMIT (a negative order is a ValueError). The counts a_n of MacMahon's
+    series prod_k (1 - s^k)^-k follow its log-derivative: n a_n = sum_{j<=n} sigma_2(j) a_{n-j}."""
+    if order < 0:
+        raise ValueError("weight must be nonnegative")
     most = SUM_LIMIT // profile.cells
     counts = [1]
     while len(counts) <= order and sum(counts) <= most:
@@ -104,13 +107,19 @@ def partition_sum(
 ) -> TruncatedSeries:
     """Sum of term(pi) expanded to the caps, over the plane partitions pi of
     size <= order (corner entry <= max_first_entry when given); refused by
-    check_partition_sum before any is enumerated."""
+    check_partition_sum before any is enumerated. Like terms (equal under ==)
+    are expanded once, their coefficients added times their count."""
     check_partition_sum(order, profile)
-    total = TruncatedSeries(profile)
+    like: dict[tuple, list] = {}  # key -> [product, count]
     for w in range(order + 1):
         for pi in enumerate_plane_partitions(w, max_first_entry):
-            total = total + term(pi).expand(profile)
-    return total
+            fp = term(pi)
+            like.setdefault(fp._key(), [fp, 0])[1] += 1
+    coeffs: dict[tuple[int, ...], int] = {}
+    for fp, count in like.values():
+        for vec, c in fp.expand(profile).coeffs.items():
+            coeffs[vec] = coeffs.get(vec, 0) + count * c
+    return TruncatedSeries(profile, {vec: c for vec, c in coeffs.items() if c})
 
 
 def vuletic_lhs(s_order: int, profile: TruncationProfile) -> TruncatedSeries:

@@ -7,13 +7,15 @@ oracle's surjective spaces as tuples, arms, legs and the per-box loop
 of the tangent character (the reference of its batched weight kernel), the
 diagonal-slice transcription of the box weight, the per-box membership
 count of a diagram tuple's plane partition, the q-factorial transcription
-of the box-factorial ratio, and the per-box entry reads of chi."""
+of the box-factorial ratio, the per-box entry reads of chi, and the
+per-partition expansion of a sum over plane partitions (the reference of
+partition_sum's collection of like terms)."""
 
 from collections import Counter
 from functools import reduce
 
 from macmahon import fforacle
-from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram
+from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
 from macmahon.vuletic import little_f
 
@@ -186,3 +188,13 @@ def reference_chi(pi: PlanePartition) -> int:
     """Sum of entry * (entry - right neighbor) over the boxes, three entry
     reads per box."""
     return sum(pi.entry(i, j) * (pi.entry(i, j) - pi.entry(i, j + 1)) for i, j in pi.support())
+
+
+def reference_partition_sum(order: int, profile: TruncationProfile, term,
+                            max_first_entry: int | None = None) -> TruncatedSeries:
+    """Every partition's term expanded on its own and added to the total."""
+    total = TruncatedSeries(profile)
+    for w in range(order + 1):
+        for pi in enumerate_plane_partitions(w, max_first_entry):
+            total = total + term(pi).expand(profile)
+    return total

@@ -264,6 +264,21 @@ def test_enumerate_negative_max_entry_is_usage_error(capsys):
     assert json.loads(out)["outcome"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "pp", "--n", "-1"],
+        ["classes", "--r", "1", "--n", "-1"],
+        ["verify", "bb", "--n", "-1"],
+        ["verify", "limit-class", "--max-weight", "-1"],
+    ],
+)
+def test_negative_order_is_usage_error(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "weight must be nonnegative"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -108,6 +108,16 @@ def test_partition_sum_refused_before_enumeration(no_enumeration, call):
         call()
 
 
+def test_refused_partition_sum_builds_no_term():
+    def term(pi):
+        raise AssertionError("a term was built")
+
+    with pytest.raises(BudgetExceededError, match="plane partitions"):
+        vuletic.partition_sum(30, TruncationProfile(s=30, q=6, t=4), term)
+    with pytest.raises(ValueError, match="^weight must be nonnegative$"):
+        vuletic.partition_sum(-1, TruncationProfile(s=0), term)
+
+
 def test_stretch_sizes_inside_the_limits():
     # the largest sums the README, `macmahon all` and the benchmark run
     for order, profile in [

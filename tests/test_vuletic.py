@@ -1,7 +1,7 @@
 import pytest
-from reference import factor_inverse, one, reference_box_weight, transpose
+from reference import factor_inverse, one, reference_box_weight, reference_partition_sum, transpose
 
-from macmahon import vuletic
+from macmahon import motivic, vuletic
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncationProfile, q_factorial
 from macmahon.vuletic import (
@@ -143,3 +143,47 @@ def test_order_mismatch_rejected():
         vuletic_lhs(3, TruncationProfile(s=4, q=4, t=4))
     with pytest.raises(ValueError):
         vuletic_rhs(5, TruncationProfile(s=4, q=4, t=4))
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """Each partition_sum call's arguments and result, as the LHS builders
+    make them."""
+    calls, partition_sum = [], vuletic.partition_sum
+
+    def recording(*args):
+        result = partition_sum(*args)
+        calls.append((args, result))
+        return result
+
+    for module in (vuletic, motivic):
+        monkeypatch.setattr(module, "partition_sum", recording)
+    return calls
+
+
+def test_partition_sum_equals_per_partition_reference(summed):
+    for s in range(7):
+        vuletic_lhs(s, TruncationProfile(s=s, q=4, t=4))
+    for t in range(8):
+        for r in (1, 3, None):
+            motivic.refined_macmahon_lhs(r, t, 6)
+        motivic.limit_series_lhs(t, 8)
+    assert len(summed) == 7 + 4 * 8
+    for args, result in summed:
+        assert result == reference_partition_sum(*args), args
+
+
+def test_partition_sum_expands_each_distinct_term_once(monkeypatch):
+    # the 1,124 terms of size <= 10 are 252 distinct products
+    terms = [vuletic_weight(pi) * FactorProduct.monomial({"s": pi.weight})
+             for w in range(11) for pi in enumerate_plane_partitions(w)]
+    assert (len(terms), len({fp._key() for fp in terms})) == (1124, 252)
+    expand, expanded = FactorProduct.expand, []
+
+    def counting(fp, profile):
+        expanded.append(fp)
+        return expand(fp, profile)
+
+    monkeypatch.setattr(FactorProduct, "expand", counting)
+    vuletic_lhs(10, TruncationProfile(s=10, q=6, t=6))
+    assert len(expanded) == 252
