@@ -28,7 +28,6 @@ from .partitions import (
     chi,
     enumerate_diagram_tuples,
     enumerate_plane_partitions,
-    partition_of_tuple,
 )
 from .series import (
     FactorProduct,
@@ -71,7 +70,6 @@ __all__ = [
     "little_f",
     "moduli_space_class",
     "oracle_vs_class",
-    "partition_of_tuple",
     "positive_weight_count",
     "q_factorial",
     "refined_macmahon_check",

@@ -50,10 +50,6 @@ class YoungDiagram:
     def weight(self) -> int:
         return sum(self.rows)
 
-    def row(self, i: int) -> int:
-        """Length of row i; 0 outside the diagram."""
-        return self.rows[i] if 0 <= i < len(self.rows) else 0
-
     def to_list(self) -> list[int]:
         return list(self.rows)
 
@@ -243,23 +239,6 @@ def enumerate_diagram_tuples(r: int, n: int) -> Iterator[DiagramTuple]:
 
     for diagrams in rec(r, n):
         yield DiagramTuple(diagrams)
-
-
-def partition_of_tuple(tup: DiagramTuple) -> PlanePartition:
-    """Plane partition counting, per box, how many diagrams contain it: entry
-    (i, j) is the number of diagrams whose row i is longer than j.
-
-    Membership indicators of Young diagrams are monotone in both directions,
-    so the counts always form a valid plane partition; the constructor
-    validation makes any violation a loud internal error rather than a
-    silent wrong answer.
-    """
-    depth = max((len(d.rows) for d in tup.diagrams), default=0)
-    rows = []
-    for i in range(depth):
-        lengths = [d.row(i) for d in tup.diagrams]
-        rows.append([sum(1 for n in lengths if n > j) for j in range(max(lengths))])
-    return PlanePartition(rows)
 
 
 def chi(pi: PlanePartition) -> int:

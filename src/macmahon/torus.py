@@ -19,7 +19,9 @@ from .series import CELL_LIMIT, BudgetExceededError
 
 def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np.ndarray, ...]:
     """Tangent weights (I, J, k1, k2) of T tuples, each of rank r and weight
-    n, as arrays of shape (T, 2, n, r); the one transcription of
+    n, as arrays of shape (T, 2, n, r), and each tuple's plane partition as a
+    table of shape (T, n+1, n+1) whose entry (a, b) counts the diagrams
+    holding box (a, b). The weights are the one transcription of
 
         sum_{i,j} e_j e_i^{-1} ( sum_{s in D_i} t1^(-leg_{D_j}(s)) t2^(arm_{D_i}(s) + 1)
                                + sum_{s in D_j} t1^(leg_{D_i}(s) + 1) t2^(-arm_{D_j}(s)) ).
@@ -48,7 +50,7 @@ def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np
     i, j = np.concatenate([owner, other], 1), np.concatenate([other, owner], 1)
     if ((i == j) & (k1 == 0) & (k2 == 0)).any():
         raise ValueError("trivial weight: fixed points must be isolated")
-    return i, j, k1, k2
+    return i, j, k1, k2, inside.sum(axis=1)
 
 
 def tangent_character(tup: DiagramTuple) -> Counter:
@@ -66,7 +68,7 @@ def tangent_character(tup: DiagramTuple) -> Counter:
             f"the tangent character of rank {r} and weight {n} takes {steps} steps,"
             f" over the limit {CELL_LIMIT}"
         )
-    weights = (x.ravel().tolist() for x in _tangent_weights([tup], r, n))
+    weights = (x.ravel().tolist() for x in _tangent_weights([tup], r, n)[:4])
     return Counter(zip(*weights))
 
 

@@ -99,8 +99,9 @@ def surjective_h_choices(rows: int, cols: int, p: int) -> list:
 
 
 def arm(d: YoungDiagram, i: int, j: int) -> int:
-    """Signed distance to the right edge: row(i) - j - 1; negative outside."""
-    return d.row(i) - j - 1
+    """Signed distance to the right edge: the length of row i, less j + 1;
+    negative outside."""
+    return (d.rows[i] if i < len(d.rows) else 0) - j - 1
 
 
 def leg(d: YoungDiagram, i: int, j: int) -> int:
@@ -152,13 +153,14 @@ def reference_box_weight(pi: PlanePartition, i: int, j: int) -> FactorProduct:
 
     for m up to and including the cut, so a level past the cut that is not 1
     shows as a different weight."""
-    lam, mu, nu = diagonal_partitions(pi, i, j)
-    a = lam.row(0)
-    cut = max(len(lam.rows), len(mu.rows), len(nu.rows))
+    slices = diagonal_partitions(pi, i, j)
+    cut = max(len(d.rows) for d in slices)
+    lam, mu, nu = (d.rows + (0,) * (cut + 2 - len(d.rows)) for d in slices)
+    a = lam[0]
     levels = [
-        reduce(factor_mul, [little_f(a - mu.row(m), m), little_f(a - nu.row(m), m),
-                            factor_inverse(little_f(a - lam.row(m), m)),
-                            factor_inverse(little_f(a - lam.row(m + 1), m))])
+        reduce(factor_mul, [little_f(a - mu[m], m), little_f(a - nu[m], m),
+                            factor_inverse(little_f(a - lam[m], m)),
+                            factor_inverse(little_f(a - lam[m + 1], m))])
         for m in range(cut + 1)
     ]
     return reduce(factor_mul, levels)

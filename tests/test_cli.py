@@ -12,6 +12,9 @@ from macmahon.series import FactorProduct
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# sha256 of `macmahon all` stdout; CI checks the installed script against it
+ALL_STDOUT_SHA256 = "e53dd0b737aed2cd1412068308658985e4ce1e86338ec874eefa66aa01e5fff0"
+
 # every verify target: its check's module and name, and the flags it reads
 # in the check's positional order, with their defaults
 VERIFY = {
@@ -322,9 +325,7 @@ def test_all(capsys):
         "class-structure",
     ]
     assert all(c["match"] for c in report["payload"]["checks"])
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e53dd0b737aed2cd1412068308658985e4ce1e86338ec874eefa66aa01e5fff0"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_STDOUT_SHA256
 
 
 def test_all_takes_no_flags(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import arm, leg, reference_chi, reference_partition_of_tuple, transpose
+from reference import arm, leg, reference_chi, transpose
 
 from macmahon.partitions import (
     DiagramTuple,
@@ -10,7 +10,6 @@ from macmahon.partitions import (
     chi,
     enumerate_diagram_tuples,
     enumerate_plane_partitions,
-    partition_of_tuple,
 )
 from macmahon.series import FactorProduct, TruncationProfile
 
@@ -127,27 +126,6 @@ def test_diagrams_in_descending_lexicographic_order():
     for n in range(8):
         rows = [t.diagrams[0].rows for t in enumerate_diagram_tuples(1, n)]
         assert rows == sorted(_partitions(n, n), reverse=True)
-
-
-def test_partition_of_tuple_examples():
-    empty = DiagramTuple([YoungDiagram(), YoungDiagram(), YoungDiagram()])
-    assert partition_of_tuple(empty) == PlanePartition()
-    single = DiagramTuple([YoungDiagram([1])])
-    assert partition_of_tuple(single).to_lists() == [[1]]
-    mixed = DiagramTuple([YoungDiagram([2]), YoungDiagram([1, 1])])
-    assert partition_of_tuple(mixed).to_lists() == [[2, 1], [1]]
-
-
-def test_partition_of_tuple_always_valid():
-    # against the per-box membership count: [[2,1],[1]] above is its own
-    # transpose, so only these tuples tell rows from columns
-    for r in (1, 2, 3):
-        for n in range(7):
-            for tup in enumerate_diagram_tuples(r, n):
-                pi = partition_of_tuple(tup)
-                assert pi == reference_partition_of_tuple(tup), tup
-                assert pi.weight == n
-                assert pi.first_entry <= r
 
 
 def test_chi_values():

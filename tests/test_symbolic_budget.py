@@ -145,14 +145,14 @@ def test_product_building_is_linear(monkeypatch):
     # 4 (l_order + 1) factors merged in one pass, then the expansion is
     # refused; twice the factors must take well under the 4x of a quadratic
     # build. The first refusal is at the real limit and warms up the caches;
-    # the timed ones, best of three taken in turn on this process's CPU clock
+    # the timed ones, best of five taken in turn on this process's CPU clock
     # (other load on the machine does not count), use a lower limit, so that
     # l_order 2,500 is refused too.
     with pytest.raises(BudgetExceededError, match="slice updates"):
         motivic.limit_series_rhs(4, 5000)
     monkeypatch.setattr(series, "EXPAND_LIMIT", 10**8)
     times = {2500: [], 5000: []}
-    for _ in range(3):
+    for _ in range(5):
         for l_order, taken in times.items():
             started = time.process_time()
             with pytest.raises(BudgetExceededError, match="slice updates"):

@@ -2,7 +2,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from reference import tangent_terms
+from reference import reference_partition_of_tuple, tangent_terms
 
 from macmahon import acceptance, torus
 from macmahon.partitions import (
@@ -11,7 +11,6 @@ from macmahon.partitions import (
     YoungDiagram,
     chi,
     enumerate_diagram_tuples,
-    partition_of_tuple,
 )
 from macmahon.series import BudgetExceededError
 from macmahon.torus import (
@@ -70,7 +69,7 @@ def test_positive_count_matches_closed_form():
     for r in (1, 2, 3):
         for n in range(6):
             for tup in enumerate_diagram_tuples(r, n):
-                pi = partition_of_tuple(tup)
+                pi = reference_partition_of_tuple(tup)
                 expected = r * n + chi(pi)
                 assert positive_weight_count(tangent_character(tup), n + 2) == expected
                 assert expected == attracting_dimension(pi, r)
@@ -138,6 +137,34 @@ def test_kernel_equals_per_box_reference():
                 assert tangent_character(tup) == tangent_terms(tup)
 
 
+def _kernel_partitions(tuples, r, n):
+    # the plane partitions of the kernel's own table, through the validating
+    # constructor
+    return [PlanePartition(table.tolist()) for table in torus._tangent_weights(tuples, r, n)[4]]
+
+
+def test_kernel_table_examples():
+    empty = DiagramTuple([YoungDiagram(), YoungDiagram(), YoungDiagram()])
+    assert _kernel_partitions([empty], 3, 0) == [PlanePartition()]
+    # a row and a column of two are each other's transpose: rows are not columns
+    row, column = DiagramTuple([YoungDiagram([2])]), DiagramTuple([YoungDiagram([1, 1])])
+    assert [pi.to_lists() for pi in _kernel_partitions([row, column], 1, 2)] == [[[1, 1]], [[1], [1]]]
+    mixed = DiagramTuple([YoungDiagram([2]), YoungDiagram([1, 1])])
+    assert _kernel_partitions([mixed], 2, 4)[0].to_lists() == [[2, 1], [1]]
+
+
+def test_kernel_table_equals_reference_partition():
+    # every tuple's table is a valid plane partition (the constructor checks
+    # it) of weight n and corner entry at most r, equal to the per-box count
+    for r in (1, 2, 3):
+        for n in range(9):
+            tuples = list(enumerate_diagram_tuples(r, n))
+            for tup, pi in zip(tuples, _kernel_partitions(tuples, r, n), strict=True):
+                assert pi == reference_partition_of_tuple(tup), tup
+                assert pi.weight == n
+                assert pi.first_entry <= r
+
+
 @pytest.mark.parametrize(
     "diagrams", [[[1] * 707], [[1]] + [[]] * 99], ids=["largest-column", "box-beside-empties"]
 )
@@ -155,18 +182,37 @@ def test_check_tangent_report_independent_of_chunking(monkeypatch):
 
 @pytest.mark.parametrize("chunk_weights", [1, 1 << 12])
 def test_check_tangent_failures_in_enumeration_order(monkeypatch, chunk_weights):
-    # a closed form one too large at rank 2: every rank-2 tuple fails, in order
+    # a corner entry one too large at rank 2 moves chi: every rank-2 tuple
+    # with a box fails, in order (the empty tuple's table has no box to move)
+    def perturbed(tuples, r, n):
+        *weights, pp = torus._tangent_weights(tuples, r, n)
+        pp[:, 0, 0] += r == 2
+        return *weights, pp
+
     monkeypatch.setattr(acceptance, "_TANGENT_CHUNK_WEIGHTS", chunk_weights)
-    monkeypatch.setattr(
-        acceptance, "attracting_dimension", lambda pi, r: attracting_dimension(pi, r) + (r == 2)
-    )
+    monkeypatch.setattr(acceptance, "_tangent_weights", perturbed)
     report = acceptance.check_tangent(2, 3)
     assert report["failures"] == [
         {"tuple": tup.to_lists(), "r": 2, "n": n}
-        for n in range(4)
+        for n in range(1, 4)
         for tup in enumerate_diagram_tuples(2, n)
     ]
     assert report["num_tuples"] == 7 + 18
+
+
+def test_check_tangent_builds_no_plane_partition(monkeypatch):
+    built = []
+    init = PlanePartition.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanePartition, "__init__", counted)
+    assert acceptance.check_tangent(3, 5)["match"]
+    assert built == []
+    PlanePartition([[1]])
+    assert len(built) == 1
 
 
 def test_check_tangent_refuses_a_trivial_weight(monkeypatch):
