@@ -30,9 +30,9 @@ from .motivic import (
     poly_json,
     refined_macmahon_check,
 )
-from .partitions import enumerate_diagram_tuples, enumerate_plane_partitions
+from .partitions import enumerate_diagram_tuples, enumerate_plane_partitions, exact_int
 from .series import FactorProduct, TruncationProfile
-from .torus import _tangent_weights
+from .torus import positive_weight_count, tangent_character
 from .vuletic import check_partition_sum, vuletic_lhs, vuletic_rhs, vuletic_weight_t0
 
 MACMAHON_COUNTS = (1, 1, 3, 6, 13, 24, 48, 86, 160)
@@ -88,7 +88,7 @@ def check_limit_class(max_weight: int = 5, l_order: int = 20) -> dict:
         for pi in enumerate_plane_partitions(w):
             checked += 1
             lhs = vuletic_weight_t0(pi).rename("q", "L")
-            rhs = limit_class(pi).factors
+            rhs = limit_class(pi)
             if lhs == rhs:
                 factored_matches += 1
             if lhs.expand(profile) != rhs.expand(profile):
@@ -119,8 +119,8 @@ def check_refined_macmahon() -> dict:
     }
 
 
-def check_limit_series(t_order: int = 6, l_order: int = 10) -> dict:
-    return {**limit_series_check(t_order, l_order), "name": "limit-series"}
+def check_limit_series() -> dict:
+    return {**limit_series_check(6, 10), "name": "limit-series"}
 
 
 def check_bb() -> dict:
@@ -139,7 +139,9 @@ def check_tangent(r_max: int = 3, n_max: int = 5) -> dict:
     and the attracting-dimension closed form r n + chi(pi), with pi read off
     the kernel's own table, swept over every tuple of each (rank, weight) in
     chunks of at most _TANGENT_CHUNK_WEIGHTS weights; failing tuples are
-    listed in enumeration order."""
+    listed in enumeration order. r_max must be positive and n_max nonnegative."""
+    if exact_int(r_max) < 1 or exact_int(n_max) < 0:
+        raise ValueError(f"r_max must be positive and n_max nonnegative, got {r_max} and {n_max}")
     checked = 0
     failures: list[dict] = []
     for r in range(1, r_max + 1):
@@ -147,14 +149,13 @@ def check_tangent(r_max: int = 3, n_max: int = 5) -> dict:
             tuples = enumerate_diagram_tuples(r, n)
             per_chunk = max(1, _TANGENT_CHUNK_WEIGHTS // max(1, 2 * r * n))
             while chunk := list(islice(tuples, per_chunk)):
-                _, _, k1, k2, pp = _tangent_weights(chunk, r, n)
-                nontrivial = (k1 != 0) | (k2 != 0)
-                ok = np.full(len(chunk), k1[0].size == 2 * r * n)
-                counts = []
+                _, _, k1, k2, pp = tangent_character(chunk, r, n)
+                counts, zero = [], np.zeros(k1.shape, dtype=bool)
                 for alpha in range(n + 2, 2 * n + 5):
-                    v = k1 + alpha * k2
-                    counts.append((v > 0).sum(axis=(1, 2, 3)))
-                    ok &= ~((v == 0) & nontrivial).any(axis=(1, 2, 3))
+                    counts.append(positive_weight_count(k1, k2, alpha))
+                    zero |= k1 + alpha * k2 == 0
+                ok = np.full(len(chunk), k1[0].size == 2 * r * n)
+                ok &= ~(zero & ((k1 != 0) | (k2 != 0))).any(axis=(1, 2, 3))
                 ok &= (np.array(counts) == counts[0]).all(axis=0)
                 # chi(pi): every entry times its drop to the right neighbour
                 ok &= counts[0] == r * n + (pp[..., :-1] * (pp[..., :-1] - pp[..., 1:])).sum(axis=(1, 2))

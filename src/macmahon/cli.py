@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import time
+from itertools import groupby
 
 from . import acceptance, motivic
 from .fforacle import (
@@ -124,23 +125,24 @@ def _run_classes(args) -> tuple[int, dict]:
 
 def _run_tangent(args) -> tuple[int, dict]:
     tup = _parse_tuple(args.tuple)
-    character = tangent_character(tup)
     r, n = tup.rank, tup.total_weight
     alpha = args.alpha if args.alpha is not None else n + 2
+    character = tangent_character([tup], r, n)
+    weights = sorted(zip(*(x.ravel().tolist() for x in character[:4])))
     terms = [
-        {"i": i, "j": j, "t1": k1, "t2": k2, "multiplicity": m}
-        for (i, j, k1, k2), m in sorted(character.items())
+        {"i": i, "j": j, "t1": k1, "t2": k2, "multiplicity": len(list(group))}
+        for (i, j, k1, k2), group in groupby(weights)
     ]
-    size_ok = character.total() == 2 * r * n
+    size_ok = len(weights) == 2 * r * n
     payload = {
         "rank": r,
         "weight": n,
         "alpha": alpha,
         "terms": terms,
-        "size": character.total(),
+        "size": len(weights),
         "expected_size": 2 * r * n,
         "size_ok": size_ok,
-        "d_plus": positive_weight_count(character, alpha),
+        "d_plus": int(positive_weight_count(*character[2:4], alpha)[0]),
     }
     return _verdict(size_ok, payload)
 

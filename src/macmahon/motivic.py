@@ -26,26 +26,20 @@ from .vuletic import check_partition_sum, partition_sum, vuletic_weight_t0
 
 
 class MotivicClass:
-    """A class in the variable L, kept factored with exact cancellation."""
+    """A class in the variable L, kept factored and certified a polynomial when built."""
 
     __slots__ = ("factors", "_poly")
 
     def __init__(self, factors: FactorProduct):
+        var, poly = factors.to_polynomial()
+        if var not in (None, "L"):
+            raise NotPolynomialError(f"class involves unexpected variable {var!r}")
         self.factors = factors
-        self._poly: dict[int, int] | None = None
+        self._poly = poly
 
     def polynomial(self) -> dict[int, int]:
-        """Certified polynomial coefficients {degree: coeff}; exact division."""
-        if self._poly is None:
-            var, poly = self.factors.to_polynomial()
-            if var not in (None, "L"):
-                raise NotPolynomialError(f"class involves unexpected variable {var!r}")
-            self._poly = poly
+        """Certified polynomial coefficients {degree: coeff}."""
         return dict(self._poly)
-
-    def certify(self) -> MotivicClass:
-        self.polynomial()
-        return self
 
     def evaluate(self, x: int) -> int:
         poly = self.polynomial()
@@ -113,12 +107,12 @@ def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
         raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")
     return MotivicClass(FactorProduct.prod(
         (_rank_ratio(r, pi.first_entry, "L"), _box_factorial_ratio(pi))
-    )).certify()
+    ))
 
 
-def limit_class(pi: PlanePartition) -> MotivicClass:
+def limit_class(pi: PlanePartition) -> FactorProduct:
     """Large-rank limit: the box factorial ratio alone, a power series in L."""
-    return MotivicClass(_box_factorial_ratio(pi))
+    return _box_factorial_ratio(pi)
 
 
 def _normalize_chain(mu: Sequence[int], nu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -158,7 +152,7 @@ def surjective_chain_class(mu: Sequence[int], nu: Sequence[int]) -> MotivicClass
         + [f for a, b, v in stages for f in (q_factorial(a - v, "L"), gl_class(b))],
         [q_factorial(d, "L") for d in (nu_t[0], mu_t[0] - nu_t[0])]
         + [q_factorial(d, "L") for a, b, v in stages for d in (a - b, b - v)],
-    )).certify()
+    ))
 
 
 def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
@@ -173,7 +167,7 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
         [q_factorial(pi.first_entry, "L"), _box_factorial_ratio(pi)]
         + [gl_class(pi.entry(i, j)) for i, j in pi.support()],
         (gl_class(pi.first_entry),),
-    )).certify()
+    ))
 
 
 def _moduli_profile(r: int, n: int) -> TruncationProfile:
@@ -282,7 +276,7 @@ def limit_series_lhs(t_order: int, l_order: int) -> TruncatedSeries:
     return partition_sum(
         t_order,
         TruncationProfile(t=t_order, L=l_order),
-        lambda pi: limit_class(pi).factors * FactorProduct.monomial({"t": pi.weight}),
+        lambda pi: limit_class(pi) * FactorProduct.monomial({"t": pi.weight}),
     )
 
 

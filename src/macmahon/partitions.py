@@ -217,9 +217,9 @@ def enumerate_diagram_tuples(r: int, n: int) -> Iterator[DiagramTuple]:
     diagrams in descending lexicographic order, then the remaining slots
     recursively.
     """
-    if r < 1:
+    if exact_int(r) < 1:
         raise ValueError("rank must be positive")
-    if n < 0:
+    if exact_int(n) < 0:
         raise ValueError("weight must be nonnegative")
     # every diagram of size <= n, grouped by size, each group in descending
     # lexicographic order

@@ -8,16 +8,15 @@ multiset and are never deduplicated.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
 
-from .partitions import DiagramTuple, PlanePartition, chi
+from .partitions import DiagramTuple, PlanePartition, chi, exact_int
 from .series import CELL_LIMIT, BudgetExceededError
 
 
-def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np.ndarray, ...]:
+def tangent_character(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np.ndarray, ...]:
     """Tangent weights (I, J, k1, k2) of T tuples, each of rank r and weight
     n, as arrays of shape (T, 2, n, r), and each tuple's plane partition as a
     table of shape (T, n+1, n+1) whose entry (a, b) counts the diagrams
@@ -31,11 +30,31 @@ def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np
     every D_i: k1 = col_i(b) - a, k2 = b + 1 - row_j(a). Arms and legs are
     taken across diagrams, so they can be negative. A trivial weight (i = j,
     k1 = k2 = 0) would make the fixed point non-isolated and is refused.
+
+    The largest array holds the column heights, read off a table of r(n+1)^2
+    cells per tuple (row a of diagram i against column b). A batch with
+    T(r^2 + 2rn^2) past CELL_LIMIT is refused first, which keeps that table
+    within it. An empty batch, or a tuple of another rank or weight, is a
+    ValueError.
     """
-    rows = np.array(
-        [[d.rows + (0,) * (n + 1 - len(d.rows)) for d in tup.diagrams] for tup in tuples],
-        dtype=np.int64,
-    )
+    steps = len(tuples) * (r * r + 2 * r * n * n)
+    if steps > CELL_LIMIT:
+        batch = f" for {len(tuples)} tuples" if len(tuples) > 1 else ""
+        raise BudgetExceededError(
+            f"the tangent character of rank {r} and weight {n} takes {steps} steps{batch},"
+            f" over the limit {CELL_LIMIT}"
+        )
+    if not tuples:
+        raise ValueError("no diagram tuples to take the tangent character of")
+    # each diagram's first n + 1 rows: a diagram of weight n has no more, and
+    # one with more still sums past n
+    pad = (0,) * (n + 1)
+    try:
+        rows = np.array([[(d.rows + pad)[: n + 1] for d in tup.diagrams] for tup in tuples], np.int64)
+    except (ValueError, OverflowError):  # ranks that differ, or a row past int64
+        rows = None
+    if rows is None or rows.shape != (len(tuples), r, n + 1) or (rows.sum(axis=(1, 2)) != n).any():
+        raise ValueError(f"every diagram tuple must have rank {r} and weight {n}")
     # inside[t, i, a, b]: box (a, b) lies in diagram i of tuple t
     inside = rows[..., None] > np.arange(n + 1)
     cols = inside.sum(axis=2)
@@ -53,37 +72,18 @@ def _tangent_weights(tuples: Sequence[DiagramTuple], r: int, n: int) -> tuple[np
     return i, j, k1, k2, inside.sum(axis=1)
 
 
-def tangent_character(tup: DiagramTuple) -> Counter:
-    """Tangent weights at the fixed point of a diagram tuple, as the multiset
-    {(i, j, k1, k2): multiplicity} counted by `_tangent_weights`.
-
-    Its largest array holds the column heights, read off a table of r(n+1)^2
-    cells (row a of diagram i against column b). Tuples with r^2 + 2rn^2
-    past CELL_LIMIT are refused first, which keeps that table within it.
-    """
-    r, n = tup.rank, tup.total_weight
-    steps = r * r + 2 * r * n * n
-    if steps > CELL_LIMIT:
-        raise BudgetExceededError(
-            f"the tangent character of rank {r} and weight {n} takes {steps} steps,"
-            f" over the limit {CELL_LIMIT}"
-        )
-    weights = (x.ravel().tolist() for x in _tangent_weights([tup], r, n)[:4])
-    return Counter(zip(*weights))
-
-
-def positive_weight_count(character: Counter, alpha: int) -> int:
-    """Number of tangent weights with k1 + alpha * k2 > 0.
+def positive_weight_count(k1: np.ndarray, k2: np.ndarray, alpha: int) -> np.ndarray:
+    """Per tuple, the number of tangent weights with k1 + alpha * k2 > 0, for
+    the (T, 2, n, r) arrays of tangent_character.
 
     The framing directions carry no pairing: terms are classified purely by
-    (k1, k2). For alpha > total weight + 1 the count is independent of
-    alpha, since every |k1| is at most the total weight.
+    (k1, k2). Once alpha exceeds every |k1| (at most n <= 707 in any
+    character tangent_character admits) each sign is k2's, or k1's where
+    k2 = 0, so alpha is capped at 2^31 and stays exact past int64.
     """
-    if alpha < 1:
+    if exact_int(alpha) < 1:
         raise ValueError("alpha must be positive")
-    return sum(
-        mult for (_, _, k1, k2), mult in character.items() if k1 + alpha * k2 > 0
-    )
+    return (k1 + min(alpha, 1 << 31) * k2 > 0).sum(axis=(1, 2, 3))
 
 
 def attracting_dimension(pi: PlanePartition, r: int) -> int:

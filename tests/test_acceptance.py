@@ -38,7 +38,8 @@ def test_criterion_4_refined_macmahon():
 
 
 def test_criterion_5_limit_class_series():
-    rep = acceptance.check_limit_series(t_order=6, l_order=10)
+    rep = acceptance.check_limit_series()
+    assert (rep["t_order"], rep["l_order"]) == (6, 10)
     _report("5 limit class series t<=6, L<=10", rep["match"])
 
 

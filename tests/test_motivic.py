@@ -58,15 +58,15 @@ def test_class_structure_small():
 
 
 def test_limit_class_values():
-    assert limit_class(PlanePartition()).factors.is_one()
-    series = limit_class(PlanePartition([[1]])).factors.expand(TruncationProfile(L=6))
+    assert limit_class(PlanePartition()).is_one()
+    series = limit_class(PlanePartition([[1]])).expand(TruncationProfile(L=6))
     assert sorted(series.coeffs.items()) == [((k,), 1) for k in range(7)]
 
 
 def test_limit_class_series_has_nonnegative_coefficients():
     for n in range(6):
         for pi in enumerate_plane_partitions(n):
-            series = limit_class(pi).factors.expand(TruncationProfile(L=12))
+            series = limit_class(pi).expand(TruncationProfile(L=12))
             assert all(c >= 0 for c in series.coeffs.values())
             assert series.coefficient({}) == 1
 
@@ -75,7 +75,7 @@ def test_limit_class_matches_t0_weight():
     for n in range(5):
         for pi in enumerate_plane_partitions(n):
             lhs = vuletic_weight_t0(pi).rename("q", "L")
-            rhs = limit_class(pi).factors
+            rhs = limit_class(pi)
             assert lhs == rhs  # factored forms coincide box by box
     report = acceptance.check_limit_class(4, 12)
     assert report["match"]
@@ -89,7 +89,7 @@ def test_finite_rank_stabilizes_to_limit():
         for r in range(pi.first_entry, 9):
             cap = r - pi.first_entry
             finite = fixed_component_class(r, pi).factors.expand(TruncationProfile(L=cap))
-            assert finite == lim.factors.expand(TruncationProfile(L=cap))
+            assert finite == lim.expand(TruncationProfile(L=cap))
 
 
 def test_chain_class_examples():

@@ -74,6 +74,13 @@ def test_enumeration_rejects_non_integers(n, bound):
         list(enumerate_plane_partitions(n, max_first_entry=bound))
 
 
+@pytest.mark.parametrize("r, n", [(True, 2), (2.0, 1), (1, 1.5), (1, True)])
+def test_tuple_enumeration_rejects_non_integers(r, n):
+    # (True, 2) and (2.0, 1) each yielded 2 tuples before
+    with pytest.raises(ValueError, match="expected an integer"):
+        list(enumerate_diagram_tuples(r, n))
+
+
 def test_enumeration_is_restartable_and_deterministic():
     first = [p.to_lists() for p in enumerate_plane_partitions(5)]
     second = [p.to_lists() for p in enumerate_plane_partitions(5)]
