@@ -97,6 +97,14 @@ class PlanePartition:
                 raise ValueError("columns must be weakly decreasing")
         self.rows: tuple[tuple[int, ...], ...] = tuple(trimmed)
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> PlanePartition:
+        """Rows the package built already trimmed and valid, stored unchecked;
+        input from outside the package goes through the checks of __init__."""
+        pi = object.__new__(cls)
+        pi.rows = rows
+        return pi
+
     def entry(self, i: int, j: int) -> int:
         if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
             return self.rows[i][j]
@@ -207,7 +215,7 @@ def enumerate_plane_partitions(
                 yield (row,) + tail
 
     for rows in rec(None, n):
-        yield PlanePartition(rows)
+        yield PlanePartition._trusted(rows)
 
 
 def enumerate_diagram_tuples(r: int, n: int) -> Iterator[DiagramTuple]:

@@ -397,6 +397,65 @@ def test_sweep_refuses_counts_past_int64():
         sweep_chain_h(ChainInstance((1, 1), (1, 1), budget=10**30), 65537)
 
 
+# check_oracle's two-stage (chain, p) pairs: top dimension <= 3, raw search
+# space within the default budget
+ORACLE_SWEEPS = [
+    (ChainInstance((m1, m2), (v1, v2)), p)
+    for m1 in range(1, 4)
+    for m2 in range(m1 + 1)
+    for v1 in range(m1 + 1)
+    for v2 in range(min(v1, m2) + 1)
+    for p in (2, 3)
+    if p ** chain_entry_count((m1, m2), (v1, v2)) <= fforacle.DEFAULT_BUDGET
+]
+
+
+def test_check_oracle_counts_each_two_stage_chain_once(monkeypatch):
+    calls = {"count_chain_points": [], "sweep_chain_h": []}
+
+    def recorded(name, fn):
+        def wrapper(inst, p):
+            calls[name].append((inst, p))
+            return fn(inst, p)
+
+        return wrapper
+
+    # oracle_vs_class counts through fforacle's name, the sweep through acceptance's
+    monkeypatch.setattr(fforacle, "count_chain_points", recorded("count_chain_points", count_chain_points))
+    monkeypatch.setattr(acceptance, "sweep_chain_h", recorded("sweep_chain_h", sweep_chain_h))
+    report = acceptance.check_oracle()
+    assert (report["chains_checked"], report["h_variants"], report["match"]) == (107, 367, True)
+    assert len(calls["count_chain_points"]) == 18
+    assert all(len(inst.mu) == 1 for inst, _ in calls["count_chain_points"])
+    assert calls["sweep_chain_h"] == ORACLE_SWEEPS
+    assert len(ORACLE_SWEEPS) == 89
+
+
+@pytest.mark.parametrize(
+    "keep, times", [(lambda rows: np.concatenate([rows, rows]), 2), (lambda rows: rows[:0], 0)],
+    ids=["twice", "missing"],
+)
+def test_check_oracle_needs_the_canonical_h_once(monkeypatch, keep, times):
+    def patched(inst, p):
+        space, counts = sweep_chain_h(inst, p)
+        return keep(space), keep(counts)
+
+    monkeypatch.setattr(acceptance, "sweep_chain_h", patched)
+    with pytest.raises(RuntimeError, match=f"canonical h {times} times, not once"):
+        acceptance.check_oracle()
+
+
+@pytest.mark.parametrize("inst, p", ORACLE_SWEEPS)
+def test_swept_count_at_canonical_h_equals_fixed_h_count(inst, p):
+    # check_oracle takes a two-stage chain's count off its sweep, so the
+    # sweep and the fixed-h counter are held to each other here
+    space, counts = sweep_chain_h(inst, p)
+    canonical = [list(row) for row in canonical_surjection(inst.nu[1], inst.nu[0])]
+    rows = space.tolist()
+    assert rows.count(canonical) == 1
+    assert counts[rows.index(canonical)] == count_chain_points(inst, p)
+
+
 # check_oracle's report when the second h of ((2, 2), (2, 1)) at p = 3
 # reads one count too many
 WRONG_H_REPORT = (

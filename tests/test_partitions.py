@@ -88,14 +88,19 @@ def test_enumeration_is_restartable_and_deterministic():
 
 
 def test_enumerated_partitions_are_valid_and_unique():
-    for n in range(7):
-        seen = set()
-        for pi in enumerate_plane_partitions(n):
-            assert pi.weight == n
-            # reconstruction re-runs the monotonicity validation
-            assert PlanePartition(pi.to_lists()) == pi
-            assert pi not in seen
-            seen.add(pi)
+    # the enumerator stores its rows unchecked, so every partition with
+    # n <= 9, unrestricted and at every corner bound <= 9, must equal its
+    # rebuild through the validating constructor, rows and all
+    for bound in (None, *range(10)):
+        for n in range(10):
+            seen = set()
+            for pi in enumerate_plane_partitions(n, max_first_entry=bound):
+                assert pi.weight == n
+                rebuilt = PlanePartition(pi.to_lists())
+                assert pi.rows == rebuilt.rows and pi == rebuilt
+                assert all(type(row) is tuple for row in pi.rows)
+                assert pi not in seen
+                seen.add(pi)
 
 
 def test_plane_partition_validation():

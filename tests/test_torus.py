@@ -1,6 +1,7 @@
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from reference import reference_partition_of_tuple, tangent_terms
 
@@ -11,6 +12,7 @@ from macmahon.partitions import (
     YoungDiagram,
     chi,
     enumerate_diagram_tuples,
+    enumerate_plane_partitions,
 )
 from macmahon.series import BudgetExceededError
 from macmahon.torus import (
@@ -278,18 +280,44 @@ def test_check_tangent_failures_in_enumeration_order(monkeypatch, chunk_weights)
 
 
 def test_check_tangent_builds_no_plane_partition(monkeypatch):
+    # both constructors count: the checked one and the enumerator's own
     built = []
-    init = PlanePartition.__init__
+    init, trusted = PlanePartition.__init__, PlanePartition._trusted
 
     def counted(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counted_trusted(cls, rows):
+        built.append(rows)
+        return trusted(rows)
+
     monkeypatch.setattr(PlanePartition, "__init__", counted)
+    monkeypatch.setattr(PlanePartition, "_trusted", classmethod(counted_trusted))
     assert acceptance.check_tangent(3, 5)["match"]
     assert built == []
     PlanePartition([[1]])
-    assert len(built) == 1
+    next(enumerate_plane_partitions(1))
+    assert len(built) == 2
+
+
+def test_check_tangent_flags_a_nontrivial_zero_pairing(monkeypatch):
+    # one weight with k2 < 0 of the first tuple at r = 2, n = 3 becomes
+    # (-(2n + 4), 1): it pairs to zero at the last alpha alone and is never
+    # positive, so the counts and the closed form still hold and only the
+    # zero-pairing mask can flag the tuple
+    def swapped(tuples, r, n):
+        i, j, k1, k2, pp = torus.tangent_character(tuples, r, n)
+        k1, k2 = k1.copy(), k2.copy()
+        if (r, n) == (2, 3):
+            at = tuple(np.argwhere(k2[0] < 0)[0])
+            k1[0][at], k2[0][at] = -(2 * n + 4), 1
+        return i, j, k1, k2, pp
+
+    monkeypatch.setattr(acceptance, "tangent_character", swapped)
+    report = acceptance.check_tangent(2, 3)
+    assert report["failures"] == [{"tuple": next(enumerate_diagram_tuples(2, 3)).to_lists(), "r": 2, "n": 3}]
+    assert report["num_tuples"] == 7 + 18
 
 
 def test_check_tangent_refuses_a_trivial_weight(monkeypatch):
