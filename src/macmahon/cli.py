@@ -57,10 +57,6 @@ def _parse_rank(text: str) -> int | None:
     return value
 
 
-def _parse_partition(text: str) -> PlanePartition:
-    return PlanePartition(json.loads(text))
-
-
 def _parse_tuple(text: str) -> DiagramTuple:
     diagrams = json.loads(text)
     if not isinstance(diagrams, list):
@@ -152,7 +148,7 @@ def _run_count_points(args) -> tuple[int, dict]:
         if args.chain_mu is not None or args.chain_nu is not None:
             raise ValueError("choose either --grid or --chain-mu/--chain-nu")
         inst: ChainInstance | GridInstance = GridInstance(
-            _parse_partition(args.grid), budget=args.budget
+            PlanePartition(json.loads(args.grid)), budget=args.budget
         )
     else:
         if args.chain_mu is None or args.chain_nu is None:

@@ -365,15 +365,14 @@ def count_grid_points(inst: GridInstance, p: int) -> int:
     return _count_points(maps, squares, p)
 
 
-def oracle_vs_class(inst: ChainInstance | GridInstance, p: int, count: int | None = None) -> dict:
-    """Count points, unless the count is given, and compare with the class
-    polynomial evaluated at p."""
+def oracle_vs_class(inst: ChainInstance | GridInstance, p: int) -> dict:
+    """Count points and compare with the class polynomial evaluated at p."""
     if isinstance(inst, ChainInstance):
-        count = count_chain_points(inst, p) if count is None else count
+        count = count_chain_points(inst, p)
         predicted = surjective_chain_class(inst.mu, inst.nu).evaluate(p)
         report = {"kind": "chain", "mu": list(inst.mu), "nu": list(inst.nu)}
     elif isinstance(inst, GridInstance):
-        count = count_grid_points(inst, p) if count is None else count
+        count = count_grid_points(inst, p)
         predicted = commuting_grid_class(inst.partition).evaluate(p)
         report = {"kind": "grid", "partition": inst.partition.to_lists()}
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import PlanePartition, chi, enumerate_plane_partitions, exact_ints
+from .partitions import PlanePartition, chi, enumerate_plane_partitions, exact_int, exact_ints
 from .series import (
     FactorProduct,
     NotPolynomialError,
@@ -45,9 +45,6 @@ class MotivicClass:
         poly = self.polynomial()
         return sum(c * x**d for d, c in poly.items())
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MotivicClass) and self.factors == other.factors
-
     def __repr__(self) -> str:
         return f"MotivicClass({self.factors!r})"
 
@@ -66,8 +63,33 @@ def identity_report(lhs: TruncatedSeries, rhs: TruncatedSeries, **params) -> dic
     return report
 
 
-def _box_factorial_ratio(pi: PlanePartition) -> FactorProduct:
-    # prod over boxes of [a - diag]! / ([a - below]! [a - right]!) with
+@lru_cache(maxsize=None, typed=True)
+def _rank_ratio(r: int, k: int, var: str) -> FactorProduct:
+    """[r]!/[r - k]! = (1 - x^(r-k+1)) ... (1 - x^r), from its k factors
+    alone, so neither its cost nor its size grows with the rank r. Shared,
+    like q_factorial."""
+    return FactorProduct.prod(FactorProduct.from_factor({var: i}) for i in range(r - k + 1, r + 1))
+
+
+def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
+    """Class of the rank-r fixed component indexed by pi:
+
+        [r]!_L / [r - pi00]!_L * prod_boxes [a-diag]! / ([a-below]! [a-right]!)
+
+    Certified as a polynomial in L. Requires pi00 <= r.
+    """
+    if exact_int(r) < 1:
+        raise ValueError("rank must be positive")
+    if pi.first_entry > r:
+        raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")
+    return MotivicClass(FactorProduct.prod(
+        (_rank_ratio(r, pi.first_entry, "L"), limit_class(pi))
+    ))
+
+
+def limit_class(pi: PlanePartition) -> FactorProduct:
+    """Large-rank limit of a component class: the box factorial ratio
+    prod_boxes [a-diag]! / ([a-below]! [a-right]!), a power series in L."""
     # a = pi[i,j]; boxes outside the support contribute 1. [n]! holds
     # (1 - L^k) once for each k <= n, so the multiplicity of (1 - L^k) is
     # the number of numerator orders >= k less the denominator orders >= k.
@@ -84,35 +106,6 @@ def _box_factorial_ratio(pi: PlanePartition) -> FactorProduct:
         if mult:
             factors[_alphabet_vector({"L": k})] = mult
     return FactorProduct(factors=factors)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _rank_ratio(r: int, k: int, var: str) -> FactorProduct:
-    """[r]!/[r - k]! = (1 - x^(r-k+1)) ... (1 - x^r), from its k factors
-    alone, so neither its cost nor its size grows with the rank r. Shared,
-    like q_factorial."""
-    return FactorProduct.prod(FactorProduct.from_factor({var: i}) for i in range(r - k + 1, r + 1))
-
-
-def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
-    """Class of the rank-r fixed component indexed by pi:
-
-        [r]!_L / [r - pi00]!_L * prod_boxes [a-diag]! / ([a-below]! [a-right]!)
-
-    Certified as a polynomial in L. Requires pi00 <= r.
-    """
-    if r < 1:
-        raise ValueError("rank must be positive")
-    if pi.first_entry > r:
-        raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")
-    return MotivicClass(FactorProduct.prod(
-        (_rank_ratio(r, pi.first_entry, "L"), _box_factorial_ratio(pi))
-    ))
-
-
-def limit_class(pi: PlanePartition) -> FactorProduct:
-    """Large-rank limit: the box factorial ratio alone, a power series in L."""
-    return _box_factorial_ratio(pi)
 
 
 def _normalize_chain(mu: Sequence[int], nu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -164,7 +157,7 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
     Certified polynomial.
     """
     return MotivicClass(FactorProduct.prod(
-        [q_factorial(pi.first_entry, "L"), _box_factorial_ratio(pi)]
+        [q_factorial(pi.first_entry, "L"), limit_class(pi)]
         + [gl_class(pi.entry(i, j)) for i, j in pi.support()],
         (gl_class(pi.first_entry),),
     ))
@@ -172,9 +165,9 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
 
 def _moduli_profile(r: int, n: int) -> TruncationProfile:
     """The caps t = n and L = 2rn of the moduli class of rank r, weight n."""
-    if r < 1:
+    if exact_int(r) < 1:
         raise ValueError("rank must be positive")
-    if n < 0:
+    if exact_int(n) < 0:
         raise ValueError("weight must be nonnegative")
     return TruncationProfile(t=n, L=2 * r * n)
 

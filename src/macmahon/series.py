@@ -389,7 +389,7 @@ def _div_one_minus(poly: list[int], e: int) -> None:
 @lru_cache(maxsize=None, typed=True)
 def q_factorial(n: int, var: str = "q") -> FactorProduct:
     """(1 - x)(1 - x^2)...(1 - x^n); the empty product 1 for n = 0. Shared."""
-    if n < 0:
+    if exact_int(n) < 0:
         raise ValueError("q-factorial needs a nonnegative order")
     return FactorProduct.prod(FactorProduct.from_factor({var: i}) for i in range(1, n + 1))
 

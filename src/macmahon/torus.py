@@ -88,7 +88,7 @@ def positive_weight_count(k1: np.ndarray, k2: np.ndarray, alpha: int) -> np.ndar
 
 def attracting_dimension(pi: PlanePartition, r: int) -> int:
     """Closed form for the attracting-fiber dimension: r * |pi| + chi(pi)."""
-    if r < 1:
+    if exact_int(r) < 1:
         raise ValueError("rank must be positive")
     if pi.first_entry > r:
         raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
-from .partitions import PlanePartition, enumerate_plane_partitions
+from .partitions import PlanePartition, enumerate_plane_partitions, exact_int
 from .series import BudgetExceededError, FactorProduct, TruncatedSeries, TruncationProfile
 
 # Most work a sum over plane partitions may do: the partitions of size at
@@ -44,7 +44,7 @@ def check_partition_sum(order: int, profile: TruncationProfile) -> None:
 @lru_cache(maxsize=None, typed=True)
 def little_f(n: int, m: int) -> FactorProduct:
     """prod_{i<n} (1 - q^i t^(m+1)) / (1 - q^(i+1) t^m); 1 when n = 0. Shared."""
-    if n < 0 or m < 0:
+    if exact_int(n) < 0 or exact_int(m) < 0:
         raise ValueError("little_f needs nonnegative arguments")
     return FactorProduct.prod(
         (FactorProduct.from_factor({"q": i, "t": m + 1}) for i in range(n)),

@@ -14,6 +14,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # sha256 of `macmahon all` stdout; CI checks the installed script against it
 ALL_STDOUT_SHA256 = "e53dd0b737aed2cd1412068308658985e4ce1e86338ec874eefa66aa01e5fff0"
+# sha256 of `macmahon all --format table` stdout: the JSON digest sorts keys,
+# so this one pins the key order that table and csv print
+ALL_TABLE_SHA256 = "a5ca709234b360174864f341b9bf79eb409f94981e5e9e6c562047fcc3045378"
 
 # every verify target: its check's module and name, and the flags it reads
 # in the check's positional order, with their defaults
@@ -326,6 +329,12 @@ def test_all(capsys):
     ]
     assert all(c["match"] for c in report["payload"]["checks"])
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_STDOUT_SHA256
+
+
+def test_all_table(capsys):
+    code, out = _run(capsys, ["all", "--format", "table"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_TABLE_SHA256
 
 
 def test_all_takes_no_flags(capsys):

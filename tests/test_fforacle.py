@@ -431,20 +431,6 @@ def test_check_oracle_counts_each_two_stage_chain_once(monkeypatch):
     assert len(ORACLE_SWEEPS) == 89
 
 
-@pytest.mark.parametrize(
-    "keep, times", [(lambda rows: np.concatenate([rows, rows]), 2), (lambda rows: rows[:0], 0)],
-    ids=["twice", "missing"],
-)
-def test_check_oracle_needs_the_canonical_h_once(monkeypatch, keep, times):
-    def patched(inst, p):
-        space, counts = sweep_chain_h(inst, p)
-        return keep(space), keep(counts)
-
-    monkeypatch.setattr(acceptance, "sweep_chain_h", patched)
-    with pytest.raises(RuntimeError, match=f"canonical h {times} times, not once"):
-        acceptance.check_oracle()
-
-
 @pytest.mark.parametrize("inst, p", ORACLE_SWEEPS)
 def test_swept_count_at_canonical_h_equals_fixed_h_count(inst, p):
     # check_oracle takes a two-stage chain's count off its sweep, so the
@@ -459,23 +445,42 @@ def test_swept_count_at_canonical_h_equals_fixed_h_count(inst, p):
 # check_oracle's report when the second h of ((2, 2), (2, 1)) at p = 3
 # reads one count too many
 WRONG_H_REPORT = (
-    '{"chains_checked":107,"failures":[{"count":"2305","expected":"2304","h":[[0,2]],'
-    '"kind":"chain-h","match":false,"mu":[2,2],"nu":[2,1],"p":3}],"grids_checked":48,'
+    '{"chains_checked":107,"failures":[{"count":"2305","h":[[0,2]],"kind":"chain","match":false,'
+    '"mu":[2,2],"nu":[2,1],"p":3,"predicted":"2304"}],"grids_checked":48,'
     '"h_variants":367,"match":false,"name":"oracle","skipped_over_budget":9}'
 )
 
 
-def test_wrong_swept_count_is_a_chain_h_failure(monkeypatch):
+def _sweep_one_too_many(monkeypatch, at):
+    """check_oracle with the sweep of ((2, 2), (2, 1)) at p = 3 reading one
+    count too many at the indices `at` of its swept h."""
+
     def patched(inst, p):
         space, counts = sweep_chain_h(inst, p)
         if (inst.mu, inst.nu, p) == ((2, 2), (2, 1), 3):
             counts = counts.copy()
-            counts[1] += 1
+            counts[at] += 1
         return space, counts
 
     monkeypatch.setattr(acceptance, "sweep_chain_h", patched)
-    report = acceptance.check_oracle()
+    return acceptance.check_oracle()
+
+
+def test_wrong_swept_count_is_a_chain_h_failure(monkeypatch):
+    report = _sweep_one_too_many(monkeypatch, 1)
     assert json.dumps(report, sort_keys=True, separators=(",", ":")) == WRONG_H_REPORT
+    # the failure's fields in the order table and csv print them
+    assert list(report["failures"][0]) == ["kind", "mu", "nu", "p", "h", "count", "predicted", "match"]
+
+
+def test_every_wrong_swept_count_is_a_failure(monkeypatch):
+    # every h fails on its own, the canonical [I | 0] and the first swept h among them
+    space, counts = sweep_chain_h(ChainInstance((2, 2), (2, 1)), 3)
+    report = _sweep_one_too_many(monkeypatch, slice(None))
+    assert (report["chains_checked"], report["h_variants"], report["match"]) == (107, 367, False)
+    assert [f["h"] for f in report["failures"]] == space.tolist()
+    assert [f["count"] for f in report["failures"]] == [str(c + 1) for c in counts.tolist()]
+    assert len(report["failures"]) == len(counts) > 1
 
 
 # every plane partition with |pi| <= 8, each a grid shape for the property test

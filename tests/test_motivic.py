@@ -17,7 +17,8 @@ from macmahon.motivic import (
 )
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncationProfile, gl_class, q_factorial
-from macmahon.vuletic import vuletic_weight_t0
+from macmahon.torus import attracting_dimension
+from macmahon.vuletic import little_f, vuletic_weight_t0
 
 
 def test_empty_partition_class_is_one():
@@ -40,7 +41,26 @@ def test_rank_three_single_box():
 def test_box_factorial_ratio_equals_q_factorial_reference():
     for n in range(9):
         for pi in enumerate_plane_partitions(n):
-            assert motivic._box_factorial_ratio(pi) == reference_box_factorial_ratio(pi), pi
+            assert motivic.limit_class(pi) == reference_box_factorial_ratio(pi), pi
+
+
+# each class formula with one rank or order argument set to the value
+CLASS_FORMULAS = {
+    "fixed_component_class": lambda x: fixed_component_class(x, PlanePartition([[1]])),
+    "moduli_space_class-r": lambda x: moduli_space_class(x, 2),
+    "moduli_space_class-n": lambda x: moduli_space_class(2, x),
+    "attracting_dimension": lambda x: attracting_dimension(PlanePartition([[1]]), x),
+    "q_factorial": q_factorial,
+    "little_f-n": lambda x: little_f(x, 0),
+    "little_f-m": lambda x: little_f(0, x),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 2.0])
+@pytest.mark.parametrize("build", CLASS_FORMULAS.values(), ids=CLASS_FORMULAS)
+def test_class_formulas_refuse_non_integer_ranks_and_orders(build, value):
+    with pytest.raises(ValueError, match="expected an integer"):
+        build(value)
 
 
 def test_corner_entry_above_rank_rejected():

@@ -2,8 +2,9 @@
 the package source, or exported in `macmahon.__all__`. A reference is a name,
 an attribute, or a string constant (the CLI looks its checks up by name). A
 method is reached only through an attribute or a string, so a local variable
-of the same name does not keep it alive. Dunder methods are called by Python
-itself and are exempt."""
+of the same name does not keep it alive. Python itself calls the protocol
+methods the package relies on, so those are exempt; any other dunder needs a
+reference like any other method."""
 
 import ast
 from pathlib import Path
@@ -14,12 +15,17 @@ PACKAGE = Path(macmahon.__file__).resolve().parent
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+PROTOCOL = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__", "__mul__"}
+# held only for the benchmark tracer, which spans and counts them, until the
+# tracer stops naming them (ROADMAP item 1a)
+TRACED = {"TruncatedSeries.__add__", "FactorProduct.__truediv__"}
+
 
 def test_every_definition_is_referenced_or_exported():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.rglob("*.py"))}
     assert len(trees) >= 9
     names, attributes = set(), set(macmahon.__all__)
-    methods = set()
+    methods, exempt = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -30,12 +36,16 @@ def test_every_definition_is_referenced_or_exported():
                 attributes.add(node.value)
             elif isinstance(node, ast.ClassDef):
                 methods.update(f for f in node.body if isinstance(f, DEFINITIONS))
+                exempt.update(
+                    f for f in node.body if isinstance(f, DEFINITIONS) and f"{node.name}.{f.name}" in TRACED
+                )
     dead = [
         f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
         for path, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, DEFINITIONS)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in PROTOCOL
+        and node not in exempt
         and node.name not in attributes
         and (node in methods or node.name not in names)
     ]

@@ -204,7 +204,7 @@ def test_memoized_builders_refuse_non_integers():
     # the caches are typed: 2.0 is not served the value cached for 2
     little_f(2, 0)
     q_factorial(2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="expected an integer"):
         little_f(2.0, 0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="expected an integer"):
         q_factorial(2.0)
