@@ -18,7 +18,6 @@ from .series import (
     NotPolynomialError,
     TruncatedSeries,
     TruncationProfile,
-    _alphabet_vector,
     gl_class,
     q_factorial,
 )
@@ -42,8 +41,8 @@ class MotivicClass:
         return dict(self._poly)
 
     def evaluate(self, x: int) -> int:
-        poly = self.polynomial()
-        return sum(c * x**d for d, c in poly.items())
+        x = exact_int(x)
+        return sum(c * x**d for d, c in self._poly.items())
 
     def __repr__(self) -> str:
         return f"MotivicClass({self.factors!r})"
@@ -76,20 +75,30 @@ def fixed_component_class(r: int, pi: PlanePartition) -> MotivicClass:
 
         [r]!_L / [r - pi00]!_L * prod_boxes [a-diag]! / ([a-below]! [a-right]!)
 
-    Certified as a polynomial in L. Requires pi00 <= r.
+    Certified as a polynomial in L. Requires pi00 <= r. Shared: one class
+    per (r, pi00, box tally), since the class depends on pi through no more.
     """
     if exact_int(r) < 1:
         raise ValueError("rank must be positive")
     if pi.first_entry > r:
         raise ValueError(f"corner entry {pi.first_entry} exceeds rank {r}")
-    return MotivicClass(FactorProduct.prod(
-        (_rank_ratio(r, pi.first_entry, "L"), limit_class(pi))
-    ))
+    return _component_class(r, pi.first_entry, _box_tally(pi))
+
+
+@lru_cache(maxsize=None)
+def _component_class(r: int, pi00: int, tally: tuple[int, ...]) -> MotivicClass:
+    return MotivicClass(FactorProduct.prod((_rank_ratio(r, pi00, "L"), _tally_product(tally))))
 
 
 def limit_class(pi: PlanePartition) -> FactorProduct:
     """Large-rank limit of a component class: the box factorial ratio
-    prod_boxes [a-diag]! / ([a-below]! [a-right]!), a power series in L."""
+    prod_boxes [a-diag]! / ([a-below]! [a-right]!), a power series in L.
+    Shared, like q_factorial."""
+    return _tally_product(_box_tally(pi))
+
+
+def _box_tally(pi: PlanePartition) -> tuple[int, ...]:
+    """The multiplicities of (1 - L^k), k = 1..pi00, in the box factorial ratio."""
     # a = pi[i,j]; boxes outside the support contribute 1. [n]! holds
     # (1 - L^k) once for each k <= n, so the multiplicity of (1 - L^k) is
     # the number of numerator orders >= k less the denominator orders >= k.
@@ -100,12 +109,15 @@ def limit_class(pi: PlanePartition) -> FactorProduct:
             tally[a - diag] += 1
             tally[a - b] -= 1
             tally[a - right] -= 1
-    factors, mult = {}, 0
-    for k in range(len(tally) - 1, 0, -1):
-        mult += tally[k]
-        if mult:
-            factors[_alphabet_vector({"L": k})] = mult
-    return FactorProduct(factors=factors)
+    for k in range(len(tally) - 2, 0, -1):
+        tally[k] += tally[k + 1]
+    return tuple(tally[1:])
+
+
+@lru_cache(maxsize=None)
+def _tally_product(tally: tuple[int, ...]) -> FactorProduct:
+    # (0, 0, 0, k) is L^k: L is the last letter of the alphabet
+    return FactorProduct(factors={(0, 0, 0, k): m for k, m in enumerate(tally, 1) if m})
 
 
 def _normalize_chain(mu: Sequence[int], nu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -157,7 +169,7 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
     Certified polynomial.
     """
     return MotivicClass(FactorProduct.prod(
-        [q_factorial(pi.first_entry, "L"), limit_class(pi)]
+        [q_factorial(pi.first_entry, "L"), _tally_product(_box_tally(pi))]
         + [gl_class(pi.entry(i, j)) for i, j in pi.support()],
         (gl_class(pi.first_entry),),
     ))

@@ -2,6 +2,7 @@ import pytest
 from reference import reference_box_factorial_ratio
 
 from macmahon import acceptance, motivic
+from macmahon.cli import main
 from macmahon.motivic import (
     bb_identity_check,
     commuting_grid_class,
@@ -34,8 +35,9 @@ def test_rank_one_components_are_points():
 
 
 def test_rank_three_single_box():
-    poly = fixed_component_class(3, PlanePartition([[1]])).polynomial()
-    assert poly == {0: 1, 1: 1, 2: 1}
+    cls = fixed_component_class(3, PlanePartition([[1]]))
+    assert cls.polynomial() == {0: 1, 1: 1, 2: 1}
+    assert cls.evaluate(2) == 7
 
 
 def test_box_factorial_ratio_equals_q_factorial_reference():
@@ -44,9 +46,11 @@ def test_box_factorial_ratio_equals_q_factorial_reference():
             assert motivic.limit_class(pi) == reference_box_factorial_ratio(pi), pi
 
 
-# each class formula with one rank or order argument set to the value
+# each class formula with one rank or order argument set to the value, and
+# a class evaluated at the value
 CLASS_FORMULAS = {
     "fixed_component_class": lambda x: fixed_component_class(x, PlanePartition([[1]])),
+    "MotivicClass.evaluate": lambda x: fixed_component_class(3, PlanePartition([[1]])).evaluate(x),
     "moduli_space_class-r": lambda x: moduli_space_class(x, 2),
     "moduli_space_class-n": lambda x: moduli_space_class(2, x),
     "attracting_dimension": lambda x: attracting_dimension(PlanePartition([[1]]), x),
@@ -61,6 +65,55 @@ CLASS_FORMULAS = {
 def test_class_formulas_refuse_non_integer_ranks_and_orders(build, value):
     with pytest.raises(ValueError, match="expected an integer"):
         build(value)
+
+
+def _geometry_class_domain():
+    """(r, pi) over the class domains of the geometry benchmark: r <= 8
+    with |pi| <= 9 (class structure), then r = 6 with |pi| <= 11 (bb)."""
+    for r in range(1, 9):
+        for w in range(10):
+            for pi in enumerate_plane_partitions(w, max_first_entry=r):
+                yield r, pi
+    for w in range(12):
+        for pi in enumerate_plane_partitions(w, max_first_entry=6):
+            yield 6, pi
+
+
+def test_shared_classes_equal_an_uncached_reference():
+    # one partition meets many ranks, and many partitions share a tally
+    # whose top multiplicities are 0, so a cache key that drops r or pi00
+    # hands some (r, pi) another component's class
+    motivic._component_class.cache_clear()
+    for r, pi in _geometry_class_domain():
+        expected = FactorProduct.prod(
+            (q_factorial(r, "L"), reference_box_factorial_ratio(pi)),
+            (q_factorial(r - pi.first_entry, "L"),),
+        )
+        cls = fixed_component_class(r, pi)
+        assert cls.factors == expected, (r, pi)
+        assert cls.polynomial() == expected.to_polynomial()[1], (r, pi)
+
+
+def test_class_cache_holds_one_entry_per_key(capsys):
+    motivic._component_class.cache_clear()
+    assert main(["classes", "--r", "4", "--n", "14"]) == 0
+    capsys.readouterr()
+    listed = list(enumerate_plane_partitions(14, max_first_entry=4))
+    keys = {(4, pi.first_entry, motivic._box_tally(pi)) for pi in listed}
+    assert len(listed) == 2882
+    assert 0 < motivic._component_class.cache_info().currsize <= len(keys)
+
+
+def test_shared_answers_stay_unchanged():
+    pi = PlanePartition([[2, 1], [1]])
+    poly = fixed_component_class(3, pi).polynomial()
+    expected = dict(poly)
+    poly[0] = 99
+    assert fixed_component_class(3, pi).polynomial() == expected
+    assert fixed_component_class(3, pi).evaluate(1) == sum(expected.values())
+    with pytest.raises(TypeError):
+        limit_class(pi).factors[(0, 0, 0, 1)] = 5
+    assert limit_class(pi) is limit_class(PlanePartition([[2, 1], [1]]))
 
 
 def test_corner_entry_above_rank_rejected():
