@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         code, report = args.runner(args)
     except BudgetExceededError as exc:
         code, report = EXIT_BUDGET, {"outcome": "error", "error": str(exc)}
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         code, report = EXIT_USAGE, {"outcome": "error", "error": str(exc)}
     if getattr(args, "r", 0) is None:  # an infinite rank, echoed as payloads write it
         args.r = "inf"

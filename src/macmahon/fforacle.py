@@ -49,7 +49,7 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be at least 1, got {budget}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainInstance:
     """Chain data: maps f_i between the mu-stages and g_i onto the nu-stages,
     intertwined over fixed surjections h_i between the nu-stages."""
@@ -63,7 +63,7 @@ class ChainInstance:
         _check_budget(self.budget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridInstance:
     """Commuting grid of surjections with stage dimensions from a plane partition."""
 

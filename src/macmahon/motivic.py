@@ -9,6 +9,7 @@ function, since it would indicate a transcription bug in a formula.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,17 +25,19 @@ from .series import (
 from .vuletic import check_partition_sum, partition_sum, vuletic_weight_t0
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class MotivicClass:
     """A class in the variable L, kept factored and certified a polynomial when built."""
 
-    __slots__ = ("factors", "_poly")
+    factors: FactorProduct
+    _poly: dict[int, int]
 
     def __init__(self, factors: FactorProduct):
         var, poly = factors.to_polynomial()
         if var not in (None, "L"):
             raise NotPolynomialError(f"class involves unexpected variable {var!r}")
-        self.factors = factors
-        self._poly = poly
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_poly", poly)
 
     def polynomial(self) -> dict[int, int]:
         """Certified polynomial coefficients {degree: coeff}."""

@@ -2,12 +2,14 @@
 
 Boxes are (row, column) pairs, zero-indexed. Entries read outside the
 stored support are 0, so every object behaves as if extended by zeros in
-all directions. All types are immutable after construction and all
-operations are pure; enumerators are restartable and deterministic.
+all directions. All types are frozen dataclasses: a field write raises
+FrozenInstanceError (an AttributeError), and equal values hash equally.
+All operations are pure; enumerators are restartable and deterministic.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
@@ -30,10 +32,11 @@ def exact_ints(values) -> list[int]:
     return list(values)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class YoungDiagram:
     """Weakly decreasing finite sequence of positive row lengths."""
 
-    __slots__ = ("rows",)
+    rows: tuple[int, ...]
 
     def __init__(self, rows: Sequence[int] = ()):
         cleaned = exact_ints(rows)
@@ -44,7 +47,7 @@ class YoungDiagram:
                 raise ValueError(f"row lengths must be weakly decreasing: {list(rows)}")
         if cleaned and cleaned[-1] < 1:
             raise ValueError(f"row lengths must be positive: {list(rows)}")
-        self.rows: tuple[int, ...] = tuple(cleaned)
+        object.__setattr__(self, "rows", tuple(cleaned))
 
     @property
     def weight(self) -> int:
@@ -53,16 +56,11 @@ class YoungDiagram:
     def to_list(self) -> list[int]:
         return list(self.rows)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, YoungDiagram) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("YoungDiagram", self.rows))
-
     def __repr__(self) -> str:
         return f"YoungDiagram({list(self.rows)})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PlanePartition:
     """2-D array of nonnegative integers with nonincreasing rows and columns.
 
@@ -70,7 +68,7 @@ class PlanePartition:
     form. Out-of-range reads return 0.
     """
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[int]] = ()):
         if not isinstance(rows, (list, tuple)):
@@ -95,14 +93,14 @@ class PlanePartition:
                 raise ValueError("columns must be weakly decreasing")
             if any(a < b for a, b in zip(upper, lower)):
                 raise ValueError("columns must be weakly decreasing")
-        self.rows: tuple[tuple[int, ...], ...] = tuple(trimmed)
+        object.__setattr__(self, "rows", tuple(trimmed))
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> PlanePartition:
         """Rows the package built already trimmed and valid, stored unchecked;
         input from outside the package goes through the checks of __init__."""
         pi = object.__new__(cls)
-        pi.rows = rows
+        object.__setattr__(pi, "rows", rows)
         return pi
 
     def entry(self, i: int, j: int) -> int:
@@ -128,25 +126,20 @@ class PlanePartition:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PlanePartition) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("PlanePartition", self.rows))
-
     def __repr__(self) -> str:
         return f"PlanePartition({self.to_lists()})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DiagramTuple:
     """Ordered tuple of Young diagrams; indexes a big-torus fixed point."""
 
-    __slots__ = ("diagrams",)
+    diagrams: tuple[YoungDiagram, ...]
 
     def __init__(self, diagrams: Sequence[YoungDiagram]):
         if not diagrams:
             raise ValueError("a diagram tuple needs at least one slot")
-        self.diagrams: tuple[YoungDiagram, ...] = tuple(diagrams)
+        object.__setattr__(self, "diagrams", tuple(diagrams))
 
     @property
     def rank(self) -> int:
@@ -158,12 +151,6 @@ class DiagramTuple:
 
     def to_lists(self) -> list[list[int]]:
         return [d.to_list() for d in self.diagrams]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DiagramTuple) and self.diagrams == other.diagrams
-
-    def __hash__(self) -> int:
-        return hash(("DiagramTuple", self.diagrams))
 
     def __repr__(self) -> str:
         return f"DiagramTuple({self.to_lists()})"

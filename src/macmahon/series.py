@@ -9,6 +9,7 @@ denominators is exact multiset arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -66,26 +67,31 @@ def _pairs(vec: Vector) -> tuple[tuple[str, int], ...]:
     return tuple((v, e) for v, e in zip(ALPHABET, vec) if e)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TruncationProfile:
     """Per-variable exponent caps; variables not listed are disallowed. A
     profile of more than CELL_LIMIT cells is refused when it is built."""
 
-    __slots__ = ("vars", "caps", "cells", "_inside", "_outside")
+    vars: tuple[str, ...]
+    caps: tuple[int, ...]
+    cells: int
+    _inside: tuple[int, ...]
+    _outside: tuple[int, ...]
 
     def __init__(self, **caps: int):
         for var, cap in caps.items():
             _index(var)  # rejects a variable outside the alphabet
             if exact_int(cap) < 0:
                 raise ValueError(f"cap for {var!r} must be nonnegative")
-        self.vars: tuple[str, ...] = tuple(v for v in ALPHABET if v in caps)
-        self.caps: tuple[int, ...] = tuple(caps[v] for v in self.vars)
-        self.cells = prod(c + 1 for c in self.caps)
+        object.__setattr__(self, "vars", tuple(v for v in ALPHABET if v in caps))
+        object.__setattr__(self, "caps", tuple(caps[v] for v in self.vars))
+        object.__setattr__(self, "cells", prod(c + 1 for c in self.caps))
         if self.cells > CELL_LIMIT:
             raise BudgetExceededError(
                 f"{self!r} has {self.cells} cells, over the limit {CELL_LIMIT}"
             )
-        self._inside = tuple(_ALPHABET_INDEX[v] for v in self.vars)
-        self._outside = tuple(i for i in range(len(ALPHABET)) if i not in self._inside)
+        object.__setattr__(self, "_inside", tuple(_ALPHABET_INDEX[v] for v in self.vars))
+        object.__setattr__(self, "_outside", tuple(i for i in range(len(ALPHABET)) if i not in self._inside))
 
     def cap(self, var: str) -> int:
         try:
@@ -108,29 +114,22 @@ class TruncationProfile:
         """Full exponent vector for this profile, or None when beyond caps."""
         return self.coordinates(_alphabet_vector(exponents))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncationProfile)
-            and self.vars == other.vars
-            and self.caps == other.caps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.caps))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{c}" for v, c in zip(self.vars, self.caps))
         return f"TruncationProfile({inner})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TruncatedSeries:
-    """Sparse multivariate polynomial modulo the profile's exponent caps."""
+    """Sparse multivariate polynomial modulo the profile's exponent caps;
+    its coefficients are a read-only mapping."""
 
-    __slots__ = ("profile", "coeffs")
+    profile: TruncationProfile
+    coeffs: Mapping[tuple[int, ...], int]
 
     def __init__(self, profile: TruncationProfile, coeffs: Mapping[tuple[int, ...], int] = ()):
-        self.profile = profile
-        self.coeffs: dict[tuple[int, ...], int] = dict(coeffs)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(coeffs)))
 
     def _require_same(self, other: TruncatedSeries) -> None:
         if self.profile != other.profile:
@@ -163,17 +162,11 @@ class TruncatedSeries:
         left, right = self.coeffs.get(vec, 0), other.coeffs.get(vec, 0)
         return {"exponents": list(vec), "lhs": str(left), "rhs": str(right)}
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.profile == other.profile
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.profile!r}, {len(self.coeffs)} terms)"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FactorProduct:
     """A signed monomial times a multiset of atomic factors (1 - x^e)^m.
 
@@ -182,9 +175,12 @@ class FactorProduct:
     entries, so every factor has constant term 1 and the whole product is a
     unit in the integer power-series ring. Multiplication and division merge
     multiplicities; common factors cancel exactly before any expansion.
+    Frozen and hashable, with a read-only factor map, so memoized products can be shared.
     """
 
-    __slots__ = ("coeff", "mono", "factors")
+    coeff: int
+    mono: Vector
+    factors: Mapping[Vector, int]
 
     def __init__(
         self,
@@ -194,10 +190,13 @@ class FactorProduct:
     ):
         if coeff not in (1, -1):
             raise ValueError("prefactor coefficient must be +1 or -1")
-        self.coeff = coeff
-        self.mono = mono
-        # read-only, so that memoized products can be shared
-        self.factors: Mapping[Vector, int] = MappingProxyType(dict(factors or {}))
+        self._store(coeff, mono, dict(factors or {}))
+
+    def _store(self, coeff: int, mono: Vector, factors: dict[Vector, int]) -> None:
+        """Set the fields once, keeping a dict no caller holds behind a read-only view."""
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "mono", mono)
+        object.__setattr__(self, "factors", MappingProxyType(factors))
 
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: int = 1) -> FactorProduct:
@@ -232,7 +231,9 @@ class FactorProduct:
                         factors[key] = total
                     else:
                         del factors[key]
-        return cls(coeff, mono, factors)
+        out = object.__new__(cls)
+        out._store(coeff, mono, factors)
+        return out
 
     def __mul__(self, other: FactorProduct) -> FactorProduct:
         return FactorProduct.prod((self, other))
@@ -351,11 +352,8 @@ class FactorProduct:
             raise NotPolynomialError("monomial denominator does not divide")
         return var, {d + shift: c for d, c in enumerate(poly) if c}
 
-    def _key(self) -> tuple:
-        return (self.coeff, self.mono, tuple(sorted(self.factors.items())))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FactorProduct) and self._key() == other._key()
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.mono, frozenset(self.factors.items())))
 
     def __repr__(self) -> str:
         def fmt_mono(vec: Vector) -> str:

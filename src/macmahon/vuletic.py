@@ -9,6 +9,7 @@ identity-verification boundary, from memoized, shared read-only products.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache
 
@@ -110,13 +111,11 @@ def partition_sum(
     check_partition_sum before any is enumerated. Like terms (equal under ==)
     are expanded once, their coefficients added times their count."""
     check_partition_sum(order, profile)
-    like: dict[tuple, list] = {}  # key -> [product, count]
-    for w in range(order + 1):
-        for pi in enumerate_plane_partitions(w, max_first_entry):
-            fp = term(pi)
-            like.setdefault(fp._key(), [fp, 0])[1] += 1
+    like = Counter(
+        term(pi) for w in range(order + 1) for pi in enumerate_plane_partitions(w, max_first_entry)
+    )
     coeffs: dict[tuple[int, ...], int] = {}
-    for fp, count in like.values():
+    for fp, count in like.items():
         for vec, c in fp.expand(profile).coeffs.items():
             coeffs[vec] = coeffs.get(vec, 0) + count * c
     return TruncatedSeries(profile, {vec: c for vec, c in coeffs.items() if c})

@@ -19,6 +19,8 @@ ALL_STDOUT_SHA256 = "e53dd0b737aed2cd1412068308658985e4ce1e86338ec874eefa66aa01e
 ALL_TABLE_SHA256 = "a5ca709234b360174864f341b9bf79eb409f94981e5e9e6c562047fcc3045378"
 # sha256 of `macmahon classes --r 4 --n 8` stdout: every class of one listing
 CLASSES_R4_N8_SHA256 = "ada3d760ee7fbbfcc134cb0a1cb1d87fb30b71ff52fd372347c67ede9eece3a0"
+# sha256 of `macmahon enumerate pp --n 6` stdout: every plane partition of size 6
+ENUMERATE_PP_N6_SHA256 = "a2e295b5e09afa0d4236d8d48032dd71f211edc60a61d0b419c18c9d0c008ca9"
 
 # every verify target: its check's module and name, and the flags it reads
 # in the check's positional order, with their defaults
@@ -343,6 +345,12 @@ def test_classes_listing_bytes(capsys):
     code, out = _run(capsys, ["classes", "--r", "4", "--n", "8"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_R4_N8_SHA256
+
+
+def test_enumerate_listing_bytes(capsys):
+    code, out = _run(capsys, ["enumerate", "pp", "--n", "6"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_PP_N6_SHA256
 
 
 def test_all_takes_no_flags(capsys):

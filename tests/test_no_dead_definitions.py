@@ -15,7 +15,7 @@ PACKAGE = Path(macmahon.__file__).resolve().parent
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-PROTOCOL = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__", "__mul__"}
+PROTOCOL = {"__init__", "__post_init__", "__hash__", "__repr__", "__mul__"}
 # held only for the benchmark tracer, which spans and counts them, until the
 # tracer stops naming them (ROADMAP item 1a)
 TRACED = {"TruncatedSeries.__add__", "FactorProduct.__truediv__"}
