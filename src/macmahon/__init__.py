@@ -34,6 +34,7 @@ from .series import (
     NotPolynomialError,
     TruncatedSeries,
     TruncationProfile,
+    expand_sum,
     gl_class,
     q_factorial,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "count_grid_points",
     "enumerate_diagram_tuples",
     "enumerate_plane_partitions",
+    "expand_sum",
     "fixed_component_class",
     "gl_class",
     "limit_class",

@@ -241,9 +241,6 @@ class FactorProduct:
     def __truediv__(self, other: FactorProduct) -> FactorProduct:
         return FactorProduct.prod((self,), (other,))
 
-    def is_one(self) -> bool:
-        return self.coeff == 1 and self.mono == _ZERO and not self.factors
-
     def variables(self) -> set[str]:
         return {v for v, column in zip(ALPHABET, zip(self.mono, *self.factors)) if any(column)}
 
@@ -278,49 +275,8 @@ class FactorProduct:
         )
 
     def expand(self, profile: TruncationProfile) -> TruncatedSeries:
-        """Exact expansion truncated to the profile, on one dense array of
-        Python ints that starts at the monomial (no cell below it is reached).
-
-        (1 - x^e)^m with m > 0 is m in-place updates a[e:] -= a[:-e]; numpy
-        buffers the overlapping operands, so each reads the old values. With
-        m < 0 it is -m rounds of prod_j (1 + x^(2^j e)), one slice add per
-        doubling that fits. A factor that does not fit contributes 1. Past
-        EXPAND_LIMIT the expansion is refused before the array exists.
-        """
-        if min(self.mono) < 0:
-            raise ValueError("negative exponent in monomial prefactor; cannot expand")
-        start = profile.coordinates(self.mono)
-        if start is None:
-            return TruncatedSeries(profile)
-        shape = tuple(c - s + 1 for c, s in zip(profile.caps, start))
-        # (vec, shifts 2^k vec that fit, mult): one shift for a numerator
-        plan, updates = [], 0
-        for key, mult in self.factors.items():
-            vec, fits = profile.coordinates(key), 0
-            while vec is not None and (mult < 0 or not fits) and all(
-                (e << fits) < n for e, n in zip(vec, shape)
-            ):
-                fits += 1
-            if fits:
-                plan.append((vec, fits, mult))
-                updates += fits * abs(mult)
-        if updates * prod(shape) > EXPAND_LIMIT:
-            raise BudgetExceededError(
-                f"{updates} slice updates of {prod(shape)} cells exceed the limit {EXPAND_LIMIT}"
-            )
-        a = np.zeros(shape, dtype=object)
-        a[(0,) * len(shape)] = self.coeff
-        for vec, fits, mult in plan:
-            ufunc = np.subtract if mult > 0 else np.add
-            shifts = [(tuple(slice(e << k, None) for e in vec),
-                       tuple(slice(0, n - (e << k)) for e, n in zip(vec, shape)))
-                      for k in range(fits)]
-            for _ in range(abs(mult)):
-                for hi, lo in shifts:
-                    view = a[hi]
-                    ufunc(view, a[lo], out=view)
-        cells = product(*(range(s, c + 1) for s, c in zip(start, profile.caps)))
-        return TruncatedSeries(profile, {k: c for k, c in zip(cells, a.ravel().tolist()) if c})
+        """Exact expansion truncated to the profile: expand_sum of this product alone."""
+        return expand_sum(profile, {self: 1})
 
     def to_polynomial(self) -> tuple[str | None, dict[int, int]]:
         """Certify the product as a univariate polynomial.
@@ -365,6 +321,70 @@ class FactorProduct:
         for key, m in sorted(self.factors.items(), key=lambda item: _pairs(item[0])):
             parts.append(f"(1 - {fmt_mono(key)})^{m}" if m != 1 else f"(1 - {fmt_mono(key)})")
         return "FactorProduct[" + (" ".join(parts) or "1") + "]"
+
+
+def expand_sum(profile: TruncationProfile, terms: Mapping[FactorProduct, int]) -> TruncatedSeries:
+    """Exact sum of each product's expansion times its count, truncated to the
+    profile. The products of one factor multiset share one dense array of Python
+    ints from their lowest monomial, and _expand_group applies their factors to
+    it once. Every group is planned first: past EXPAND_LIMIT the sum is refused
+    before any array exists. A lone group's array is the sum's."""
+    groups: dict[frozenset, tuple[Mapping[Vector, int], dict[tuple[int, ...], int]]] = {}
+    for fp, count in terms.items():
+        if min(fp.mono) < 0:
+            raise ValueError("negative exponent in monomial prefactor; cannot expand")
+        at, count = profile.coordinates(fp.mono), exact_int(count)
+        if at is not None:
+            cells = groups.setdefault(frozenset(fp.factors.items()), (fp.factors, {}))[1]
+            cells[at] = cells.get(at, 0) + fp.coeff * count
+    plans = []
+    for factors, cells in groups.values():
+        start = tuple(map(min, zip(*cells)))
+        shape = tuple(c - s + 1 for c, s in zip(profile.caps, start))
+        # (vec, shifts 2^k vec that fit, mult): one shift for a numerator
+        plan, updates = [], 0
+        for key, mult in factors.items():
+            vec, fits = profile.coordinates(key), 0
+            while vec is not None and (mult < 0 or not fits) and all(
+                    (e << fits) < n for e, n in zip(vec, shape)):
+                fits += 1
+            if fits:
+                plan.append((vec, fits, mult))
+                updates += fits * abs(mult)
+        if updates * prod(shape) > EXPAND_LIMIT:
+            raise BudgetExceededError(
+                f"{updates} slice updates of {prod(shape)} cells exceed the limit {EXPAND_LIMIT}"
+            )
+        plans.append((start, shape, cells, plan))
+    if len(plans) == 1:
+        start, a = plans[0][0], _expand_group(*plans[0])
+    else:  # from the lowest start, or one cell at the caps when there is no group
+        start = tuple(map(min, zip(profile.caps, *(p[0] for p in plans))))
+        a = np.zeros(tuple(c - s + 1 for c, s in zip(profile.caps, start)), dtype=object)
+        for plan in plans:
+            a[tuple(slice(s - o, None) for s, o in zip(plan[0], start))] += _expand_group(*plan)
+    keys = product(*(range(s, c + 1) for s, c in zip(start, profile.caps)))
+    return TruncatedSeries(profile, {k: c for k, c in zip(keys, a.ravel().tolist()) if c})
+
+
+def _expand_group(start: tuple, shape: tuple, cells: dict, plan: list) -> np.ndarray:
+    """One group of expand_sum: its monomials placed, then each factor applied
+    once. (1 - x^e)^m with m > 0 is m in-place updates a[e:] -= a[:-e], numpy
+    buffering the overlapping operands; m < 0 is -m rounds of prod_j
+    (1 + x^(2^j e)), one slice add per doubling that fits."""
+    a = np.zeros(shape, dtype=object)
+    for at, c in cells.items():
+        a[tuple(e - s for e, s in zip(at, start))] = c
+    for vec, fits, mult in plan:
+        ufunc = np.subtract if mult > 0 else np.add
+        shifts = [(tuple(slice(e << k, None) for e in vec),
+                   tuple(slice(0, n - (e << k)) for e, n in zip(vec, shape)))
+                  for k in range(fits)]
+        for _ in range(abs(mult)):
+            for hi, lo in shifts:
+                view = a[hi]
+                ufunc(view, a[lo], out=view)
+    return a
 
 
 def _mul_one_minus(poly: list[int], e: int) -> None:

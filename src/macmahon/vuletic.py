@@ -10,15 +10,15 @@ identity-verification boundary, from memoized, shared read-only products.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 
 from .partitions import PlanePartition, enumerate_plane_partitions, exact_int
-from .series import BudgetExceededError, FactorProduct, TruncatedSeries, TruncationProfile
+from .series import BudgetExceededError, FactorProduct, TruncatedSeries, TruncationProfile, expand_sum
 
 # Most work a sum over plane partitions may do: the partitions of size at
 # most the order times the cells of the profile (605,836 at s10 q6 t6), an
-# upper bound on the expansion work, since like terms expand once.
+# upper bound on the expansion work, since each factor multiset expands once.
 SUM_LIMIT = 10**7
 
 
@@ -53,11 +53,6 @@ def little_f(n: int, m: int) -> FactorProduct:
     )
 
 
-@lru_cache(maxsize=None)
-def _level_ratio(a: int, b: int, c: int, d: int, m: int) -> FactorProduct:
-    return FactorProduct.prod((little_f(a, m), little_f(b, m)), (little_f(c, m), little_f(d, m)))
-
-
 def box_weight(pi: PlanePartition, i: int, j: int) -> FactorProduct:
     """Weight of box (i, j): the product over levels m of
 
@@ -66,33 +61,42 @@ def box_weight(pi: PlanePartition, i: int, j: int) -> FactorProduct:
     where a = pi[i,j] and lam_k = pi[i+k-1, j+k-1], mu_k = pi[i+k, j+k-1],
     nu_k = pi[i+k-1, j+k] run down the diagonals through the box and its
     lower/right neighbors. Since mu_k, nu_k <= lam_k, every level past the
-    positive lam_k collapses to 1; the cutoff is checked, not trusted: the
-    next level must be the identity.
-    """
-    top = pi.entry(i, j)
-    if top <= 0:
+    positive lam_k collapses to 1. The cutoff is checked, not trusted: the
+    little_f(n, m) with n >= 1 are multiplicatively independent, so the next
+    level is 1 exactly when {mu_{m+1}, nu_{m+1}} = {0, lam_{m+2}} as multisets."""
+    if pi.entry(i, j) <= 0:
         raise ValueError(f"box ({i}, {j}) outside the support")
-
-    def level(m: int) -> FactorProduct:
-        return _level_ratio(
-            top - pi.entry(i + m + 1, j + m),
-            top - pi.entry(i + m, j + m + 1),
-            top - pi.entry(i + m, j + m),
-            top - pi.entry(i + m + 1, j + m + 1),
-            m,
-        )
-
-    cut = 1
-    while pi.entry(i + cut, j + cut) > 0:
-        cut += 1
-    if not level(cut).is_one():
-        raise RuntimeError(f"box weight cutoff unstable at box ({i}, {j}) of {pi!r}")
-    return FactorProduct.prod(level(m) for m in range(cut))
+    return _weight(pi, [(i, j)])
 
 
 def vuletic_weight(pi: PlanePartition) -> FactorProduct:
     """Product of the box weights over the support; 1 for the empty partition."""
-    return FactorProduct.prod(box_weight(pi, i, j) for i, j in pi.support())
+    return _weight(pi, pi.support())
+
+
+def _weight(pi: PlanePartition, boxes: Iterable[tuple[int, int]]) -> FactorProduct:
+    """box_weight's product over the boxes, as prod little_f(n, m)^c over one
+    tally c of (n, m), n >= 1, read off the rows padded with zeros."""
+    width = max(map(len, pi.rows), default=0) + 2
+    grid = [row + (0,) * (width - len(row)) for row in pi.rows] + [(0,) * width] * 2
+    tally: dict[tuple[int, int], int] = {}
+    for i, j in boxes:
+        a, m = grid[i][j], 0
+        while True:
+            lam, nu, mu, lam2 = grid[i + m][j + m:j + m + 2] + grid[i + m + 1][j + m:j + m + 2]
+            if not lam:
+                break
+            for n, sign in ((a - mu, 1), (a - nu, 1), (a - lam, -1), (a - lam2, -1)):
+                if n:
+                    tally[n, m] = tally.get((n, m), 0) + sign
+            m += 1
+        if mu and nu or mu + nu != lam2:  # the level past the cut is not 1
+            raise RuntimeError(f"box weight cutoff unstable at box ({i}, {j}) of {pi!r}")
+    factors: dict = {}
+    for (n, m), c in tally.items():
+        for key, mult in little_f(n, m).factors.items():
+            factors[key] = factors.get(key, 0) + c * mult
+    return FactorProduct(factors={key: mult for key, mult in factors.items() if mult})
 
 
 def vuletic_weight_t0(pi: PlanePartition) -> FactorProduct:
@@ -100,25 +104,16 @@ def vuletic_weight_t0(pi: PlanePartition) -> FactorProduct:
     return vuletic_weight(pi).substitute_zero("t")
 
 
-def partition_sum(
-    order: int,
-    profile: TruncationProfile,
-    term: Callable[[PlanePartition], FactorProduct],
-    max_first_entry: int | None = None,
-) -> TruncatedSeries:
+def partition_sum(order: int, profile: TruncationProfile, term: Callable[[PlanePartition], FactorProduct],
+                  max_first_entry: int | None = None) -> TruncatedSeries:
     """Sum of term(pi) expanded to the caps, over the plane partitions pi of
     size <= order (corner entry <= max_first_entry when given); refused by
     check_partition_sum before any is enumerated. Like terms (equal under ==)
-    are expanded once, their coefficients added times their count."""
+    are counted, and expand_sum expands the terms of each factor multiset
+    together, in one array."""
     check_partition_sum(order, profile)
-    like = Counter(
-        term(pi) for w in range(order + 1) for pi in enumerate_plane_partitions(w, max_first_entry)
-    )
-    coeffs: dict[tuple[int, ...], int] = {}
-    for fp, count in like.items():
-        for vec, c in fp.expand(profile).coeffs.items():
-            coeffs[vec] = coeffs.get(vec, 0) + count * c
-    return TruncatedSeries(profile, {vec: c for vec, c in coeffs.items() if c})
+    terms = Counter(term(pi) for w in range(order + 1) for pi in enumerate_plane_partitions(w, max_first_entry))
+    return expand_sum(profile, terms)
 
 
 def vuletic_lhs(s_order: int, profile: TruncationProfile) -> TruncatedSeries:

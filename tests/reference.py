@@ -5,11 +5,13 @@ FactorProduct.prod), the transpose of a plane partition, scalar
 elimination mod p (the reference of the oracle's batched rank test), the
 oracle's surjective spaces as tuples, arms, legs and the per-box loop
 of the tangent character (the reference of its batched weight kernel), the
-diagonal-slice transcription of the box weight, the per-box membership
-count of a diagram tuple's plane partition, the q-factorial transcription
-of the box-factorial ratio, the per-box entry reads of chi, and the
-per-partition expansion of a sum over plane partitions (the reference of
-partition_sum's collection of like terms)."""
+diagonal-slice transcription of the box weight (the reference of the one
+level tally, box by box and over a whole partition), the per-box
+membership count of a diagram tuple's plane partition, the q-factorial
+transcription of the box-factorial ratio, the per-box entry reads of chi,
+and the per-partition expansion of a sum over plane partitions, one term at
+a time (the reference of partition_sum's counted terms, expanded by
+expand_sum one factor multiset at a time)."""
 
 from collections import Counter
 from functools import reduce

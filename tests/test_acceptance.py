@@ -4,7 +4,13 @@ Each test prints a single PASS/FAIL line so the suite doubles as a report.
 All comparisons are exact integer equalities at the stated caps.
 """
 
+from types import SimpleNamespace
+
+import pytest
+
 from macmahon import acceptance
+from macmahon.motivic import MotivicClass
+from macmahon.series import FactorProduct
 
 
 def _report(name, ok):
@@ -65,3 +71,25 @@ def test_criterion_9_class_structure():
     rep = acceptance.check_class_structure()
     assert rep["num_classes"] > 0
     _report("9 certified polynomial classes, nonneg, constant term 1", rep["match"])
+
+
+@pytest.mark.parametrize(
+    "planted, poly",
+    [
+        # no FactorProduct has constant term 2, so this class is a stand-in
+        (SimpleNamespace(polynomial=lambda: {0: 2, 1: 1}), [[0, "2"], [1, "1"]]),
+        (MotivicClass(FactorProduct.from_factor({"L": 1})), [[0, "1"], [1, "-1"]]),
+    ],
+    ids=["constant-term-2", "negative-coefficient"],
+)
+def test_criterion_9_fails_on_a_bad_class(monkeypatch, planted, poly):
+    # each half of the predicate alone makes the check fail and name the class
+    real = acceptance.fixed_component_class
+
+    def one_bad(r, pi):
+        return planted if (r, pi.to_lists()) == (2, [[1, 1]]) else real(r, pi)
+
+    monkeypatch.setattr(acceptance, "fixed_component_class", one_bad)
+    rep = acceptance.check_class_structure()
+    assert rep["match"] is False
+    assert rep["failures"] == [{"r": 2, "partition": [[1, 1]], "poly": poly}]

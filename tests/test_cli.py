@@ -21,6 +21,9 @@ ALL_TABLE_SHA256 = "a5ca709234b360174864f341b9bf79eb409f94981e5e9e6c562047fcc304
 CLASSES_R4_N8_SHA256 = "ada3d760ee7fbbfcc134cb0a1cb1d87fb30b71ff52fd372347c67ede9eece3a0"
 # sha256 of `macmahon enumerate pp --n 6` stdout: every plane partition of size 6
 ENUMERATE_PP_N6_SHA256 = "a2e295b5e09afa0d4236d8d48032dd71f211edc60a61d0b419c18c9d0c008ca9"
+# sha256 of `macmahon verify vuletic --s-order 8 --q-order 8 --t-order 8`
+# stdout: a weighted identity past the sizes of `all`
+VULETIC_S8_SHA256 = "6ecb4745b8a26c1620d0cd0b6fd66dd5395a50fea4ee459cbb4acc898fa3fd98"
 
 # every verify target: its check's module and name, and the flags it reads
 # in the check's positional order, with their defaults
@@ -351,6 +354,12 @@ def test_enumerate_listing_bytes(capsys):
     code, out = _run(capsys, ["enumerate", "pp", "--n", "6"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_PP_N6_SHA256
+
+
+def test_verify_vuletic_s8_bytes(capsys):
+    code, out = _run(capsys, ["verify", "vuletic", "--s-order", "8", "--q-order", "8", "--t-order", "8"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VULETIC_S8_SHA256
 
 
 def test_all_takes_no_flags(capsys):

@@ -131,7 +131,7 @@ def test_class_structure_small():
 
 
 def test_limit_class_values():
-    assert limit_class(PlanePartition()).is_one()
+    assert limit_class(PlanePartition()) == FactorProduct()
     series = limit_class(PlanePartition([[1]])).expand(TruncationProfile(L=6))
     assert sorted(series.coeffs.items()) == [((k,), 1) for k in range(7)]
 

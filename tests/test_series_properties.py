@@ -1,6 +1,7 @@
 """Property tests of FactorProduct against naive references: TruncatedSeries
-products for the expansion, the pairwise merge for FactorProduct.prod, and
-cyclotomic multiplicities for polynomial certification."""
+products for the expansion and for the grouped sum expand_sum, the pairwise
+merge for FactorProduct.prod, and cyclotomic multiplicities for polynomial
+certification."""
 
 from functools import reduce
 
@@ -14,6 +15,7 @@ from macmahon.series import (
     NotPolynomialError,
     TruncatedSeries,
     TruncationProfile,
+    expand_sum,
     q_factorial,
 )
 
@@ -63,7 +65,7 @@ settings_ = settings(max_examples=60, deadline=None)
 def test_group_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert (a / a).is_one()
+    assert a / a == FactorProduct()
     assert a * FactorProduct() == a
     assert FactorProduct() / (FactorProduct() / a) == a
     assert FactorProduct() / (a * b) == factor_mul(factor_inverse(a), factor_inverse(b))
@@ -85,7 +87,7 @@ def test_prod_matches_pairwise_merge(nums, dens, data):
 def test_prod_edge_cases():
     x = FactorProduct.from_factor({"q": 1, "t": 2}, 3)
     minus_s = FactorProduct.monomial({"s": 2}, -1)
-    assert FactorProduct.prod(()).is_one()
+    assert FactorProduct.prod(()) == FactorProduct()
     assert FactorProduct.prod((x, x), (x, x)).factors == {}
     assert FactorProduct.prod((x,), (x, x)).factors == {(1, 2, 0, 0): -3}
     assert FactorProduct.prod((minus_s, minus_s)) == FactorProduct.monomial({"s": 4})
@@ -225,3 +227,49 @@ def test_dense_expand_edge_case_values():
     assert build((1, {"q": 4}, [({"q": 1}, -1)])).expand(PROFILE).coeffs == {}
     capped = build((-1, {}, [({"q": 1}, -2)])).expand(TruncationProfile(q=0, t=2, s=0))
     assert sorted(capped.coeffs.items()) == [((0, 0, 0), -1)]
+
+
+# -- the grouped kernel against a sum of naive products ----------------------
+
+wide_exponents = st.fixed_dictionaries({v: st.integers(0, 4) for v in VARS})
+
+
+def scaled(series: TruncatedSeries, count: int) -> TruncatedSeries:
+    return TruncatedSeries(series.profile, {k: count * c for k, c in series.coeffs.items() if count * c})
+
+
+@settings_
+@given(caps, st.lists(st.lists(small_atoms, max_size=3), min_size=1, max_size=3), st.data())
+def test_expand_sum_matches_sum_of_naive_products(cap, multisets, data):
+    # up to 8 terms drawn over at most 3 factor multisets, so several share
+    # one: coefficients -1, counts of either sign (like terms' counts may add
+    # up to 0), monomials past the caps and negative multiplicities all occur
+    profile = TruncationProfile(**cap)
+    raw_terms = st.tuples(st.sampled_from((1, -1)), wide_exponents, st.sampled_from(multisets))
+    drawn = data.draw(st.lists(st.tuples(raw_terms, st.integers(-3, 3)), max_size=8))
+    terms: dict[FactorProduct, int] = {}
+    expected = TruncatedSeries(profile)
+    for raw, count in drawn:
+        fp = build(raw)
+        terms[fp] = terms.get(fp, 0) + count
+        expected = expected + scaled(naive_expand(raw, profile), count)
+    assert expand_sum(profile, terms) == expected
+
+
+def test_expand_sum_cancellations():
+    profile = TruncationProfile(q=3, t=2)
+    geometric = FactorProduct.from_factor({"q": 1}, -1)
+    shifted = geometric * FactorProduct.monomial({"t": 1})
+    # a product and its negative with one count, and a count of 0, sum to 0
+    negated = geometric * FactorProduct.monomial({"t": 1}, -1)
+    assert expand_sum(profile, {shifted: 2, negated: 2, geometric: 0}).coeffs == {}
+    assert expand_sum(profile, {}).coeffs == {}
+    # one multiset, three monomials, one past the t cap: one group, one sum
+    terms = {geometric: 3, shifted: -1, geometric * FactorProduct.monomial({"t": 3}): 5}
+    got = expand_sum(profile, terms)
+    assert got == scaled(geometric.expand(profile), 3) + scaled(shifted.expand(profile), -1)
+    assert sorted(got.coeffs.items()) == [((q, t), 3 if t == 0 else -1) for q in range(4) for t in (0, 1)]
+    # a count is an int, also for a term past the caps
+    for count in (1.0, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            expand_sum(profile, {geometric * FactorProduct.monomial({"t": 3}): count})

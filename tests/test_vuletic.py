@@ -1,7 +1,16 @@
-import pytest
-from reference import factor_inverse, one, reference_box_weight, reference_partition_sum, transpose
+from functools import reduce
 
-from macmahon import motivic, vuletic
+import pytest
+from reference import (
+    factor_inverse,
+    factor_mul,
+    one,
+    reference_box_weight,
+    reference_partition_sum,
+    transpose,
+)
+
+from macmahon import motivic, series, vuletic
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncationProfile, q_factorial
 from macmahon.vuletic import (
@@ -15,7 +24,7 @@ from macmahon.vuletic import (
 
 
 def test_little_f_base_cases():
-    assert little_f(0, 5).is_one()
+    assert little_f(0, 5) == FactorProduct()
     expected = FactorProduct.from_factor({"t": 1}) / FactorProduct.from_factor({"q": 1})
     assert little_f(1, 0) == expected
 
@@ -62,22 +71,36 @@ def test_box_weight_equals_diagonal_slice_reference():
     assert boxes == 1570
 
 
-def test_unstable_cutoff_raises(monkeypatch):
-    # a level past the cutoff that is not the identity is refused, also under -O
-    real = vuletic._level_ratio
+def test_unstable_cutoff_raises():
+    # a positive entry right of a zero diagonal entry makes the level of box
+    # (0, 0) past its cut f(1, 1) f(0, 1) / (f(1, 1) f(1, 1)), which is not 1;
+    # the array is planted unchecked, and the refusal holds under -O
+    planted = PlanePartition._trusted(((1,), (0, 0, 1)))
+    with pytest.raises(RuntimeError, match="cutoff unstable at box \\(0, 0\\)"):
+        box_weight(planted, 0, 0)
+    with pytest.raises(RuntimeError, match="cutoff unstable at box \\(0, 0\\)"):
+        vuletic_weight(planted)
+    # with one more such entry below it, that level is f(1, 1) f(0, 1) /
+    # (f(1, 1) f(0, 1)): its tally cancels, so it is 1 and nothing is refused
+    cancelling = PlanePartition._trusted(((1,), (0, 0, 1), (0, 0, 1)))
+    assert box_weight(cancelling, 0, 0) == little_f(1, 0)
 
-    def perturbed(a, b, c, d, m):
-        out = real(a, b, c, d, m)
-        return out * FactorProduct.from_factor({"q": 1}) if m == 1 else out
 
-    monkeypatch.setattr(vuletic, "_level_ratio", perturbed)
-    assert vuletic._level_ratio(1, 1, 0, 1, 0) == little_f(1, 0)
-    with pytest.raises(RuntimeError, match="cutoff unstable"):
-        box_weight(PlanePartition([[1]]), 0, 0)
+def test_weight_is_product_of_reference_box_weights():
+    # the one tally over all boxes against the diagonal-slice transcription,
+    # box by box, multiplied pairwise
+    weights = 0
+    for n in range(9):
+        for pi in enumerate_plane_partitions(n):
+            expected = reduce(factor_mul, (reference_box_weight(pi, i, j) for i, j in pi.support()),
+                              FactorProduct())
+            assert vuletic_weight(pi) == expected, pi
+            weights += 1
+    assert weights == 342
 
 
 def test_weight_of_empty_partition():
-    assert vuletic_weight(PlanePartition()).is_one()
+    assert vuletic_weight(PlanePartition()) == FactorProduct()
 
 
 def test_weight_transpose_symmetry():
@@ -96,7 +119,7 @@ def test_weight_constant_term_is_one():
 
 
 def test_weight_t0_values():
-    assert vuletic_weight_t0(PlanePartition()).is_one()
+    assert vuletic_weight_t0(PlanePartition()) == FactorProduct()
     assert vuletic_weight_t0(PlanePartition([[1]])) == FactorProduct.from_factor({"q": 1}, -1)
     assert vuletic_weight_t0(PlanePartition([[1, 1]])) == FactorProduct.from_factor({"q": 1}, -1)
 
@@ -105,7 +128,7 @@ def test_little_f_t0_is_inverse_q_factorial():
     for n in range(6):
         assert little_f(n, 0).substitute_zero("t") == factor_inverse(q_factorial(n))
         for m in range(1, 4):
-            assert little_f(n, m).substitute_zero("t").is_one()
+            assert little_f(n, m).substitute_zero("t") == FactorProduct()
 
 
 def test_lhs_low_coefficients():
@@ -173,17 +196,20 @@ def test_partition_sum_equals_per_partition_reference(summed):
         assert result == reference_partition_sum(*args), args
 
 
-def test_partition_sum_expands_each_distinct_term_once(monkeypatch):
-    # the 1,124 terms of size <= 10 are 252 distinct products
+def test_partition_sum_expands_each_factor_multiset_once(monkeypatch):
+    # the 1,124 terms of size <= 10 are 252 distinct products with 103
+    # distinct factor multisets, and the kernel's per-group step runs once
+    # for each multiset
     terms = [vuletic_weight(pi) * FactorProduct.monomial({"s": pi.weight})
              for w in range(11) for pi in enumerate_plane_partitions(w)]
-    assert (len(terms), len(set(terms))) == (1124, 252)
-    expand, expanded = FactorProduct.expand, []
+    multisets = {frozenset(fp.factors.items()) for fp in terms}
+    assert (len(terms), len(set(terms)), len(multisets)) == (1124, 252, 103)
+    group, groups = series._expand_group, []
 
-    def counting(fp, profile):
-        expanded.append(fp)
-        return expand(fp, profile)
+    def counting(*args):
+        groups.append(args)
+        return group(*args)
 
-    monkeypatch.setattr(FactorProduct, "expand", counting)
+    monkeypatch.setattr(series, "_expand_group", counting)
     vuletic_lhs(10, TruncationProfile(s=10, q=6, t=6))
-    assert len(expanded) == 252
+    assert len(groups) == 103
