@@ -3,7 +3,8 @@ tangent characters, and finite-field point counts.
 
 Reports go to stdout (JSON by default, deterministic byte-for-byte for
 fixed inputs); timing and diagnostics go to stderr. Exit codes: 0 success,
-1 identity mismatch, 2 usage error, 3 budget refusal.
+1 identity mismatch, 2 usage error, 3 budget refusal; every exit 2 or 3
+prints a JSON error report.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ import time
 from itertools import groupby
 
 from . import acceptance, motivic
-from .fforacle import (
-    BudgetExceededError,
-    ChainInstance,
-    DEFAULT_BUDGET,
-    GridInstance,
-    oracle_json,
-    oracle_vs_class,
-)
+from .fforacle import DEFAULT_BUDGET, ChainInstance, GridInstance, oracle_json, oracle_vs_class
 from .motivic import fixed_component_class, poly_json
 from .partitions import (
     DiagramTuple,
@@ -33,7 +27,7 @@ from .partitions import (
     chi,
     enumerate_plane_partitions,
 )
-from .series import TruncationProfile
+from .series import BudgetExceededError, TruncationProfile
 from .torus import attracting_dimension, positive_weight_count, tangent_character
 from .vuletic import check_partition_sum
 
@@ -48,12 +42,24 @@ def _verdict(match: bool, payload: dict) -> tuple[int, dict]:
     return (EXIT_OK if match else EXIT_MISMATCH), {"outcome": outcome, "payload": payload}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, so that they
+    reach the JSON error report like any other; its subparsers are _Parsers
+    too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _parse_rank(text: str) -> int | None:
-    if text in ("inf", "infinity", "oo"):
+    if text == "inf":
         return None
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise ValueError("rank must be positive or 'inf'")
+        raise argparse.ArgumentTypeError(f"rank must be a positive integer or 'inf', got {text!r}")
     return value
 
 
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table", "csv"), default=argparse.SUPPRESS
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="macmahon",
         description="Exact plane-partition series identities, fixed-component "
         "class polynomials, and finite-field point-count cross-checks.",
@@ -272,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
+    args = argparse.Namespace(format="json")  # what a failed parse reports
     try:
+        args = build_parser().parse_args(argv)
         code, report = args.runner(args)
     except BudgetExceededError as exc:
         code, report = EXIT_BUDGET, {"outcome": "error", "error": str(exc)}

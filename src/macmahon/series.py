@@ -37,8 +37,9 @@ CELL_LIMIT = 10**6
 EXPAND_LIMIT = 10**9
 
 
-class NotPolynomialError(ValueError):
-    """A factored product failed exact polynomial division."""
+class NotPolynomialError(RuntimeError):
+    """A factored product failed exact polynomial division. No input of the
+    CLI can cause one, so it is a defect, never a usage error."""
 
 
 class BudgetExceededError(RuntimeError):

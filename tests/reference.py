@@ -11,15 +11,28 @@ membership count of a diagram tuple's plane partition, the q-factorial
 transcription of the box-factorial ratio, the per-box entry reads of chi,
 and the per-partition expansion of a sum over plane partitions, one term at
 a time (the reference of partition_sum's counted terms, expanded by
-expand_sum one factor multiset at a time)."""
+expand_sum one factor multiset at a time). Also the rows of the README's
+"Library layout" table, the one list of the package's public names."""
 
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 from macmahon import fforacle
 from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram, enumerate_plane_partitions
 from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
 from macmahon.vuletic import little_f
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def layout_rows():
+    """(module, contents) of each row of the README's "Library layout" table."""
+    section = README.read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`macmahon."):
+            yield cells[0].strip("`"), cells[1]
 
 
 def one(profile: TruncationProfile) -> TruncatedSeries:

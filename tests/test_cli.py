@@ -56,6 +56,15 @@ def _run(capsys, argv):
     return code, captured.out
 
 
+def _usage_error(capsys, argv) -> dict:
+    """The JSON error report of an argv that must exit 2."""
+    code, out = _run(capsys, argv)
+    assert code == 2, argv
+    report = json.loads(out)
+    assert report["outcome"] == "error", argv
+    return report
+
+
 def test_enumerate_pp(capsys):
     code, out = _run(capsys, ["enumerate", "pp", "--n", "2"])
     assert code == 0
@@ -150,6 +159,30 @@ def test_classes_csv(capsys):
     assert capsys.readouterr().out == out
 
 
+def test_listing_csv_bytes(capsys):
+    code, out = _run(capsys, ["enumerate", "pp", "--n", "2", "--format", "csv"])
+    assert code == 0
+    assert out == 'partition\n[[2]]\n"[[1, 1]]"\n"[[1], [1]]"\n'
+
+
+def test_key_value_csv_bytes(capsys):
+    code, out = _run(capsys, ["verify", "macmahon", "--s-order", "2", "--format", "csv"])
+    assert code == 0
+    assert out == (
+        "key,value\n"
+        "command,verify macmahon --s-order 2 --format csv\n"
+        "parameters.command,verify\n"
+        "parameters.s_order,2\n"
+        "parameters.target,macmahon\n"
+        "outcome,match\n"
+        "payload.name,macmahon\n"
+        "payload.order,2\n"
+        'payload.enumerated,"[1, 1, 3]"\n'
+        'payload.expanded,"[1, 1, 3]"\n'
+        "payload.match,True\n"
+    )
+
+
 def test_tangent(capsys):
     code, out = _run(capsys, ["tangent", "--tuple", "[[1],[ ]]", "--alpha", "4"])
     assert code == 0
@@ -229,6 +262,25 @@ def test_count_points_budget_refusal(capsys):
         assert json.loads(out)["outcome"] == "error"
 
 
+def test_count_points_past_64_bit_enumeration_refused_fast(capsys):
+    # 2^64 matrices fit this budget but not an int64 code
+    started = time.perf_counter()
+    code, out = _run(
+        capsys,
+        ["count-points", "--chain-mu", "[8]", "--chain-nu", "[8]", "--p", "2", "--budget", str(10**20)],
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert json.loads(out)["error"] == "matrix space 8x8 over F_2 does not fit 64-bit enumeration"
+
+
+def test_count_points_grid_and_chain_is_usage_error(capsys):
+    report = _usage_error(
+        capsys, ["count-points", "--grid", "[[1]]", "--chain-mu", "[1]", "--chain-nu", "[1]", "--p", "2"]
+    )
+    assert report["error"] == "choose either --grid or --chain-mu/--chain-nu"
+
+
 def test_count_points_nonpositive_budget_is_usage_error(capsys):
     code, out = _run(capsys, ["count-points", "--grid", "[[1]]", "--p", "2", "--budget", "-5"])
     assert code == 2
@@ -293,12 +345,8 @@ def test_negative_order_is_usage_error(capsys, argv):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "nonsense"])
-    assert exc.value.code == 2
-    code, out = _run(capsys, ["count-points", "--p", "2"])
-    assert code == 2
-    assert json.loads(out)["outcome"] == "error"
+    _usage_error(capsys, ["verify", "nonsense"])
+    _usage_error(capsys, ["count-points", "--p", "2"])
 
 
 def test_json_output_is_deterministic(capsys):
@@ -362,10 +410,37 @@ def test_verify_vuletic_s8_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VULETIC_S8_SHA256
 
 
-def test_all_takes_no_flags(capsys):
+RANK_ERROR = "argument --r: rank must be a positive integer or 'inf', got {!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["classes", "--r", "0", "--n", "1"], RANK_ERROR.format("0")),
+        (["verify", "refined-macmahon", "--r", "0"], RANK_ERROR.format("0")),
+        (["classes", "--r", "infinity", "--n", "1"], RANK_ERROR.format("infinity")),
+        (["verify", "bb", "--r", "oo"], RANK_ERROR.format("oo")),
+        (["verify", "vuletic", "--r", "2"], "unrecognized arguments: --r 2"),
+        (["count-points", "--grid", "[[1]]"], "the following arguments are required: --p"),
+        ([], "the following arguments are required: command"),
+        # a failed parse knows no format, so it reports in JSON
+        (["--format", "table", "enumerate", "pp"], "the following arguments are required: --n"),
+    ],
+)
+def test_parse_error_is_a_json_report(capsys, argv, error):
+    report = _usage_error(capsys, argv)
+    assert report == {"command": " ".join(argv), "parameters": {}, "outcome": "error", "error": error}
+
+
+def test_help_still_exits_through_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["all", "--desk-scale"])
-    assert exc.value.code == 2
+        main(["classes", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: macmahon classes")
+
+
+def test_all_takes_no_flags(capsys):
+    _usage_error(capsys, ["all", "--desk-scale"])
 
 
 def test_all_calls_each_check_once_in_order(capsys, monkeypatch):
@@ -401,9 +476,7 @@ def test_verify_target_defaults(capsys, target):
     [(t, f) for t, (_, _, flags) in VERIFY.items() for f in VERIFY_FLAGS if f not in flags],
 )
 def test_verify_rejects_foreign_flag(capsys, target, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", target, "--" + flag.replace("_", "-"), "2"])
-    assert exc.value.code == 2
+    _usage_error(capsys, ["verify", target, "--" + flag.replace("_", "-"), "2"])
 
 
 @pytest.mark.parametrize("target", VERIFY)

@@ -9,7 +9,6 @@ from reference import is_surjective, rank_mod_p, surjective_h_choices
 
 from macmahon import acceptance, fforacle
 from macmahon.fforacle import (
-    BudgetExceededError,
     ChainInstance,
     GridInstance,
     canonical_surjection,
@@ -22,6 +21,7 @@ from macmahon.fforacle import (
 )
 from macmahon.motivic import commuting_grid_class, surjective_chain_class
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
+from macmahon.series import BudgetExceededError
 
 
 def test_chain_examples():
@@ -91,6 +91,11 @@ def test_non_surjective_h_rejected():
         count_chain_points(ChainInstance((2, 2), (2, 1), (((1.0, 0),),)), 2)  # not an int
     with pytest.raises(ValueError):
         count_chain_points(ChainInstance((2, 2), (2, 1), (((True, 0),),)), 2)
+    with pytest.raises(ValueError, match="expected 1 intertwining maps, got 2"):
+        count_chain_points(ChainInstance((2, 2), (2, 1), (((0, 1),), ((0, 1),))), 2)
+    for wrong in (((0, 1), (1, 0)), 5):  # two rows of a 1x2 map; no matrix at all
+        with pytest.raises(ValueError, match="map 0 must be 1x2"):
+            count_chain_points(ChainInstance((2, 2), (2, 1), (wrong,)), 2)
 
 
 def test_entry_counts():

@@ -4,6 +4,7 @@ from reference import reference_box_factorial_ratio
 from macmahon import acceptance, motivic
 from macmahon.cli import main
 from macmahon.motivic import (
+    MotivicClass,
     bb_identity_check,
     commuting_grid_class,
     fixed_component_class,
@@ -17,7 +18,7 @@ from macmahon.motivic import (
     surjective_chain_class,
 )
 from macmahon.partitions import PlanePartition, enumerate_plane_partitions
-from macmahon.series import FactorProduct, TruncationProfile, gl_class, q_factorial
+from macmahon.series import FactorProduct, NotPolynomialError, TruncationProfile, gl_class, q_factorial
 from macmahon.torus import attracting_dimension
 from macmahon.vuletic import little_f, vuletic_weight_t0
 
@@ -116,6 +117,28 @@ def test_shared_answers_stay_unchanged():
     assert limit_class(pi) is limit_class(PlanePartition([[2, 1], [1]]))
 
 
+@pytest.fixture
+def clear_class_caches():
+    motivic._component_class.cache_clear()
+    motivic._tally_product.cache_clear()
+    yield
+    motivic._component_class.cache_clear()
+    motivic._tally_product.cache_clear()
+
+
+def test_class_that_does_not_divide_is_no_usage_error(monkeypatch, clear_class_caches):
+    # a wrong box tally is a formula defect, which no CLI input can cause:
+    # [2]!/[1]! (1 - L)^-3 = (1 + L)/(1 - L)^2 at [[1]] is not a polynomial
+    monkeypatch.setattr(motivic, "_box_tally", lambda pi: (-3,) * pi.first_entry)
+    with pytest.raises(NotPolynomialError, match="does not divide exactly"):
+        main(["classes", "--r", "2", "--n", "2"])
+
+
+def test_class_in_a_foreign_variable_refused():
+    with pytest.raises(NotPolynomialError, match="unexpected variable 'q'"):
+        MotivicClass(FactorProduct.from_factor({"q": 1}))
+
+
 def test_corner_entry_above_rank_rejected():
     with pytest.raises(ValueError):
         fixed_component_class(1, PlanePartition([[2]]))
@@ -182,6 +205,10 @@ def test_chain_class_validation():
         surjective_chain_class((2, 2), (1, 2))
     with pytest.raises(ValueError):
         surjective_chain_class((), ())
+    # nu may be longer than mu by zero stages only
+    assert surjective_chain_class((2,), (1, 0, 0)).polynomial() == {0: -1, 2: 1}
+    with pytest.raises(ValueError, match="nu is longer than mu"):
+        surjective_chain_class((2,), (1, 1))
 
 
 def test_grid_class_examples():

@@ -1,13 +1,19 @@
 """Every function and class in the package is used: referenced somewhere in
-the package source, or exported in `macmahon.__all__`. A reference is a name,
-an attribute, or a string constant (the CLI looks its checks up by name). A
-method is reached only through an attribute or a string, so a local variable
-of the same name does not keep it alive. Python itself calls the protocol
+the package source, or exported. The exported names are the backticked
+names of the README's "Library layout" table, each part of a dotted name on
+its own (`FactorProduct.prod` counts `FactorProduct` and `prod`); the
+package root exports nothing. A reference is a name, an attribute, or a
+string constant (the CLI looks its checks up by name). A method is reached
+only through an attribute or a string, so a local variable of the same
+name does not keep it alive. Python itself calls the protocol
 methods the package relies on, so those are exempt; any other dunder needs a
 reference like any other method."""
 
 import ast
+import re
 from pathlib import Path
+
+from reference import layout_rows
 
 import macmahon
 
@@ -24,7 +30,13 @@ TRACED = {"TruncatedSeries.__add__", "FactorProduct.__truediv__"}
 def test_every_definition_is_referenced_or_exported():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.rglob("*.py"))}
     assert len(trees) >= 9
-    names, attributes = set(), set(macmahon.__all__)
+    exported = {
+        part
+        for _, contents in layout_rows()
+        for name in re.findall(r"`([^`]+)`", contents)
+        for part in name.split(".")
+    }
+    names, attributes = set(), exported
     methods, exempt = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
