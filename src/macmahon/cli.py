@@ -159,10 +159,16 @@ def _run_count_points(args) -> tuple[int, dict]:
     else:
         if args.chain_mu is None or args.chain_nu is None:
             raise ValueError("count-points needs --grid or both --chain-mu and --chain-nu")
-        h = None if args.chain_h is None else (json.loads(args.chain_h),)
-        inst = ChainInstance(
-            json.loads(args.chain_mu), json.loads(args.chain_nu), h, budget=args.budget
-        )
+        mu, h = json.loads(args.chain_mu), None
+        if args.chain_h is not None:
+            # a chain of k stages has k - 1 maps: two stages take theirs bare
+            h = json.loads(args.chain_h)
+            if not (isinstance(mu, list) and len(mu) > 2):
+                h = [h]
+            elif not isinstance(h, list):
+                raise ValueError(f"--chain-h must be a JSON list of {len(mu) - 1} matrices")
+            h = tuple(h)
+        inst = ChainInstance(mu, json.loads(args.chain_nu), h, budget=args.budget)
     report = oracle_vs_class(inst, args.p)
     return _verdict(report["match"], oracle_json(report))
 
@@ -263,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--grid", default=None, help="JSON plane partition")
     count.add_argument("--chain-mu", default=None, help="JSON list of stage dimensions")
     count.add_argument("--chain-nu", default=None, help="JSON list of stage dimensions")
-    count.add_argument("--chain-h", default=None, help="JSON matrix for the intertwining map")
+    count.add_argument("--chain-h", default=None, help="JSON matrix of the intertwining map "
+                       "of a two-stage chain; for k >= 3 stages, a JSON list of the k - 1 maps")
     count.add_argument("--p", type=int, required=True)
     count.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     count.set_defaults(runner=_run_count_points)

@@ -5,7 +5,9 @@ matrix tuples over F_p that satisfy the defining conditions (commuting
 squares, full surjectivity). Nothing is sampled and nothing is pruned.
 Chains and grids are both lists of maps and commuting squares for one
 counter, `_count_points`; every matrix of every free map is visited, and
-its integer tables of products only reorder the exact count. One rank test,
+its integer tables of products only reorder the exact count. A free map in
+no square is counted by streaming its whole space, once per process per
+(rows, cols, p), and that count is reused. One rank test,
 `_surjective_mask`, decides surjectivity everywhere: some a x a minor is
 nonzero mod p, each minor a cofactor expansion over a batch of matrices.
 
@@ -180,6 +182,13 @@ def _surjective_space(a: int, b: int, p: int) -> np.ndarray:
     return mats
 
 
+@lru_cache(maxsize=None)
+def _surjective_count(a: int, b: int, p: int) -> int:
+    """How many a x b matrices over F_p are surjective: the space streamed
+    through the rank test and summed, once per process per (a, b, p)."""
+    return sum(int(_surjective_mask(mats, p).sum()) for mats in _space_chunks(a, b, p))
+
+
 def _validated_h(
     mu: tuple[int, ...], nu: tuple[int, ...], h: tuple[Matrix, ...] | None, p: int
 ) -> tuple[Matrix, ...]:
@@ -247,7 +256,8 @@ def _count_points(maps: list, squares: list, p: int) -> int:
     commuting. maps: (rows, cols, fixed), fixed one given matrix or None for
     a free map; squares: (a, b, c, d) for maps[a] maps[b] = maps[c] maps[d].
 
-    A free map in no square is streamed, never held (with no rows it has its
+    A free map in no square is streamed, never held, once per process per
+    (rows, cols, p); later instances reuse its count (with no rows it has its
     one matrix). Squares sharing a free map are walked depth first from each
     component's last square; a shared map leading back to a square already
     reached closes a cycle and is fixed to each of its matrices in turn. Each
@@ -295,7 +305,7 @@ def _count_points(maps: list, squares: list, p: int) -> int:
                 spaces[m] = np.asarray(fixed, dtype=np.int64).reshape(1, rows, cols)
             weights[m] = np.ones(len(spaces[m]), np.int64)
         elif fixed is None and rows:
-            total *= sum(int(_surjective_mask(mats, p).sum()) for mats in _space_chunks(rows, cols, p))
+            total *= _surjective_count(rows, cols, p)
     for s, link in reversed(order):
         if link is None:
             out = next(m for m in squares[s] if maps[m][2] is None)

@@ -169,12 +169,18 @@ def commuting_grid_class(pi: PlanePartition) -> MotivicClass:
         [pi00]! / [GL_pi00]
         * prod_boxes [a-diag]! [GL_a] / ([a-below]! [a-right]!)
 
-    Certified polynomial.
+    Certified polynomial. Shared: one class per (pi00, box tally, sorted
+    entries), since the class depends on pi through no more.
     """
+    entries = tuple(sorted(a for row in pi.rows for a in row))
+    return _grid_class(pi.first_entry, _box_tally(pi), entries)
+
+
+@lru_cache(maxsize=None)
+def _grid_class(pi00: int, tally: tuple[int, ...], entries: tuple[int, ...]) -> MotivicClass:
     return MotivicClass(FactorProduct.prod(
-        [q_factorial(pi.first_entry, "L"), _tally_product(_box_tally(pi))]
-        + [gl_class(pi.entry(i, j)) for i, j in pi.support()],
-        (gl_class(pi.first_entry),),
+        [q_factorial(pi00, "L"), _tally_product(tally)] + [gl_class(a) for a in entries],
+        (gl_class(pi00),),
     ))
 
 

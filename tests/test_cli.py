@@ -244,6 +244,53 @@ def test_count_points_chain_with_h(capsys):
     assert json.loads(out)["outcome"] == "match"
 
 
+THREE_STAGES = ["count-points", "--chain-mu", "[2,2,2]", "--chain-nu", "[2,1,1]", "--p", "2"]
+
+
+@pytest.mark.parametrize("h", [None, "[[[0,1]],[[1]]]", "[[[1,1]],[[1]]]", "[[[1,0]],[[1]]]"])
+def test_count_points_three_stage_chain_with_h(capsys, h):
+    # a chain of k >= 3 stages takes the JSON list of its k - 1 maps; the
+    # count does not depend on them
+    code, out = _run(capsys, THREE_STAGES + ([] if h is None else ["--chain-h", h]))
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "match"
+    assert report["payload"]["count"] == report["payload"]["predicted"] == "216"
+
+
+def test_count_points_four_stage_chain_with_h(capsys):
+    argv = ["count-points", "--chain-mu", "[2,2,1,1]", "--chain-nu", "[1,1,1,0]", "--p", "3"]
+    code, out = _run(capsys, argv + ["--chain-h", "[[[2]],[[1]],[]]"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["count"] == payload["predicted"] == json.loads(_run(capsys, argv)[1])["payload"]["count"]
+
+
+@pytest.mark.parametrize(
+    "h, error",
+    [
+        ("[[[0,1]]]", "expected 2 intertwining maps, got 1"),
+        ("[[[0,1]],[[1]],[[1]]]", "expected 2 intertwining maps, got 3"),
+        ("[]", "expected 2 intertwining maps, got 0"),
+        ("[[0,1]]", "expected 2 intertwining maps, got 1"),  # one bare matrix
+        ("[[[1,0],[0,1]],[[1]]]", "map 0 must be 1x2"),
+        ("5", "--chain-h must be a JSON list of 2 matrices"),
+        ("null", "--chain-h must be a JSON list of 2 matrices"),
+        ("[[[0,0]],[[1]]]", "intertwining map 0 is not surjective mod 2"),
+    ],
+)
+def test_count_points_wrong_maps_for_three_stages_is_usage_error(capsys, h, error):
+    assert _usage_error(capsys, THREE_STAGES + ["--chain-h", h])["error"] == error
+
+
+def test_count_points_warm_count_still_refused_over_budget(capsys):
+    argv = ["count-points", "--grid", "[[4,3]]", "--p", "3"]
+    assert _run(capsys, argv)[0] == 0
+    code, out = _run(capsys, argv + ["--budget", str(3**12 - 1)])
+    assert code == 3
+    assert json.loads(out)["error"] == "3^12 tuples exceed the budget 531440"
+
+
 def test_count_points_chain_with_four_rows(capsys):
     code, out = _run(capsys, ["count-points", "--chain-mu", "[4]", "--chain-nu", "[4]", "--p", "2"])
     assert code == 0

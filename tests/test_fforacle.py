@@ -536,8 +536,64 @@ def test_memoized_spaces_are_read_only():
     assert surjective_h_choices(2, 2, 3) == [tuple(map(tuple, m)) for m in mats.tolist()]
 
 
+# every a x b space with 0 <= a <= b and p^(ab) <= 3^9, p in {2, 3}; spaces
+# with no rows up to the widest admitted, 14 columns over F_2
+COUNT_SPACES = [(a, b, p) for p in (2, 3) for b in range(15) for a in range(b + 1) if p ** (a * b) <= 3**9]
+
+
+@pytest.fixture(scope="module")
+def naive_counts():
+    """The surjective matrices of each of COUNT_SPACES, counted one matrix
+    at a time by Gauss-Jordan rank."""
+    return {(a, b, p): sum(is_surjective(m, p) for m in _all_matrices(a, b, p)) for a, b, p in COUNT_SPACES}
+
+
+def test_surjective_count_equals_naive_odometer(naive_counts):
+    # both primes in one pass, nothing cleared between them: a count shared
+    # across fields fails here
+    assert len(naive_counts) == 65
+    for (a, b, p), count in naive_counts.items():
+        assert fforacle._surjective_count(a, b, p) == count, (a, b, p)
+
+
+def test_surjective_count_equals_tabulated_space():
+    for a, b, p in COUNT_SPACES:
+        if p ** (a * b) * a * b <= fforacle._TABLE_LIMIT:
+            assert fforacle._surjective_count(a, b, p) == len(fforacle._surjective_space(a, b, p)), (a, b, p)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_surjective_count_across_chunk_boundaries(monkeypatch, naive_counts, chunk):
+    # one matrix per chunk; then 7, so every space of more than one matrix
+    # here (none holds a multiple of 7) ends in a partial chunk
+    monkeypatch.setattr(fforacle, "_CHUNK_MATRICES", chunk)
+    fforacle._surjective_count.cache_clear()
+    try:
+        for (a, b, p), count in naive_counts.items():
+            if p ** (a * b) <= 3**6:
+                assert fforacle._surjective_count(a, b, p) == count, (a, b, p)
+    finally:
+        fforacle._surjective_count.cache_clear()
+
+
+def test_warm_count_never_skips_the_budget_guard():
+    # [[4,3]]: one 3x4 map in no square, 3^12 raw tuples
+    grid = PlanePartition([[4, 3]])
+    fforacle._surjective_count.cache_clear()
+    assert count_grid_points(GridInstance(grid), 3) == 449280
+    warm = fforacle._surjective_count.cache_info()
+    assert warm.currsize == 1
+    with pytest.raises(BudgetExceededError, match="3\\^12 tuples exceed the budget 531440"):
+        count_grid_points(GridInstance(grid, budget=3**12 - 1), 3)
+    # refused before the cached count was read
+    assert fforacle._surjective_count.cache_info() == warm
+    assert count_grid_points(GridInstance(grid, budget=3**12), 3) == 449280
+    assert fforacle._surjective_count.cache_info().hits == warm.hits + 1
+
+
 def test_oversized_stage_refused(monkeypatch):
     fforacle._surjective_space.cache_clear()
+    fforacle._surjective_count.cache_clear()
     monkeypatch.setattr(fforacle, "_TABLE_LIMIT", 8)
     try:
         with pytest.raises(BudgetExceededError):
@@ -554,6 +610,7 @@ def test_oversized_stage_refused(monkeypatch):
         assert count_grid_points(grid, 2) == expected
     finally:
         fforacle._surjective_space.cache_clear()
+        fforacle._surjective_count.cache_clear()
 
 
 # every plane partition with |pi| <= 10 whose squares close a cycle

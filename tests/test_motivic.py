@@ -220,6 +220,35 @@ def test_grid_class_examples():
     assert commuting_grid_class(PlanePartition([[1, 1], [1, 1]])).evaluate(3) == (3 - 1) ** 3
 
 
+def test_shared_grid_classes_equal_an_uncached_reference():
+    # 8 of the 16 (corner, tally) pairs with |pi| <= 6 carry more than one
+    # entry multiset, so a key without the entries hands some pi another
+    # grid's class
+    motivic._grid_class.cache_clear()
+    for pi in (pi for w in range(7) for pi in enumerate_plane_partitions(w)):
+        expected = FactorProduct.prod(
+            [q_factorial(pi.first_entry, "L"), reference_box_factorial_ratio(pi)]
+            + [gl_class(pi.entry(i, j)) for i, j in pi.support()],
+            (gl_class(pi.first_entry),),
+        )
+        cls = commuting_grid_class(pi)
+        assert cls.factors == expected, pi
+        assert cls.polynomial() == expected.to_polynomial()[1], pi
+
+
+def test_grid_class_cache_holds_one_entry_per_key():
+    motivic._grid_class.cache_clear()
+    grids = [pi for w in range(9) for pi in enumerate_plane_partitions(w)]
+    for pi in grids:
+        commuting_grid_class(pi)
+    keys = {(pi.first_entry, motivic._box_tally(pi), tuple(sorted(pi.entry(i, j) for i, j in pi.support())))
+            for pi in grids}
+    assert (len(grids), len(keys)) == (342, 103)
+    assert motivic._grid_class.cache_info().currsize == 103
+    # a grid and its transpose share one key, so one class
+    assert commuting_grid_class(PlanePartition([[2, 1]])) is commuting_grid_class(PlanePartition([[2], [1]]))
+
+
 def chain_bookkeeping_identity(r, pi):
     """Exact factored-form consistency between the two class formulas:
 
