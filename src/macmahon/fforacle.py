@@ -195,6 +195,8 @@ def _validated_h(
     k = len(mu)
     if h is None:
         return tuple(canonical_surjection(nu[i + 1], nu[i]) for i in range(k - 1))
+    if not isinstance(h, (tuple, list)):
+        raise ValueError(f"expected a list of {k - 1} intertwining maps, got {h!r}")
     if len(h) != k - 1:
         raise ValueError(f"expected {k - 1} intertwining maps, got {len(h)}")
     out = []
@@ -321,7 +323,7 @@ def _chain_maps(inst: ChainInstance, p: int) -> tuple[list, list]:
     k = len(mu)
     maps = [(nu[i], mu[i], None) for i in range(k)]
     maps += [(mu[i + 1], mu[i], None) for i in range(k - 1)]
-    _check_search(p, sum(rows * cols for rows, cols, _ in maps), inst.budget)
+    _check_search(p, chain_entry_count(mu, nu), inst.budget)
     maps += [(nu[i + 1], nu[i], h) for i, h in enumerate(_validated_h(mu, nu, inst.h, p))]
     return maps, [(i + 1, k + i, 2 * k - 1 + i, i) for i in range(k - 1)]
 
@@ -371,7 +373,7 @@ def count_grid_points(inst: GridInstance, p: int) -> int:
         for i, j in pi.support()
         if pi.entry(i + 1, j + 1) > 0
     ]
-    _check_search(p, sum(rows * cols for rows, cols, _ in maps), inst.budget)
+    _check_search(p, grid_entry_count(pi), inst.budget)
     return _count_points(maps, squares, p)
 
 

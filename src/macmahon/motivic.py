@@ -145,21 +145,19 @@ def _normalize_chain(mu: Sequence[int], nu: Sequence[int]) -> tuple[tuple[int, .
 
 
 def surjective_chain_class(mu: Sequence[int], nu: Sequence[int]) -> MotivicClass:
-    """Class of the variety of chains of surjections intertwined over fixed
-    surjections between the nu-stages:
+    """Class of the chains of surjections over fixed surjections h_i between
+    the nu-stages, shared per normalized (mu, nu). The chain is the fibre,
+    alike for every h_i, of the grid on [mu; nu] over its bottom row of maps:
 
-        [mu1]! [GL_nu1] / ([nu1]! [mu1-nu1]!)
-        * prod_i [mu_i - nu_{i+1}]! [GL_{mu_{i+1}}] / ([mu_i - mu_{i+1}]! [mu_{i+1} - nu_{i+1}]!)
+        [chain(mu, nu)] = [grid(mu; nu)] / prod_i [grid(nu_i; nu_{i+1})]."""
+    return _chain_class(*_normalize_chain(mu, nu))
 
-    Independent of the choice of the fixed surjections. Certified polynomial.
-    """
-    mu_t, nu_t = _normalize_chain(mu, nu)
-    stages = list(zip(mu_t, mu_t[1:], nu_t[1:]))  # (mu_i, mu_{i+1}, nu_{i+1})
+
+@lru_cache(maxsize=None)
+def _chain_class(mu: tuple[int, ...], nu: tuple[int, ...]) -> MotivicClass:
     return MotivicClass(FactorProduct.prod(
-        [q_factorial(mu_t[0], "L"), gl_class(nu_t[0])]
-        + [f for a, b, v in stages for f in (q_factorial(a - v, "L"), gl_class(b))],
-        [q_factorial(d, "L") for d in (nu_t[0], mu_t[0] - nu_t[0])]
-        + [q_factorial(d, "L") for a, b, v in stages for d in (a - b, b - v)],
+        (commuting_grid_class(PlanePartition([mu, nu])).factors,),
+        [commuting_grid_class(PlanePartition([[a], [b]])).factors for a, b in zip(nu, nu[1:])],
     ))
 
 
@@ -200,8 +198,6 @@ def moduli_space_class(r: int, n: int) -> dict[int, int]:
     L cap 2rn loses nothing.
     """
     profile = _moduli_profile(r, n)
-    if n == 0:
-        return {0: 1}
     series = FactorProduct.prod((), (
         FactorProduct.from_factor({"L": r * k + m, "t": k})
         for m in range(1, r + 1) for k in range(1, n + 1)

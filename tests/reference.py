@@ -8,7 +8,9 @@ of the tangent character (the reference of its batched weight kernel), the
 diagonal-slice transcription of the box weight (the reference of the one
 level tally, box by box and over a whole partition), the per-box
 membership count of a diagram tuple's plane partition, the q-factorial
-transcription of the box-factorial ratio, the per-box entry reads of chi,
+transcription of the box-factorial ratio, the stage-by-stage product of
+the chain class (the reference of its derivation from the grid class),
+the per-box entry reads of chi,
 and the per-partition expansion of a sum over plane partitions, one term at
 a time (the reference of partition_sum's counted terms, expanded by
 expand_sum one factor multiset at a time). Also the rows of the README's
@@ -20,7 +22,8 @@ from pathlib import Path
 
 from macmahon import fforacle
 from macmahon.partitions import DiagramTuple, PlanePartition, YoungDiagram, enumerate_plane_partitions
-from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, q_factorial
+from macmahon.motivic import _normalize_chain
+from macmahon.series import FactorProduct, TruncatedSeries, TruncationProfile, gl_class, q_factorial
 from macmahon.vuletic import little_f
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -198,6 +201,22 @@ def reference_box_factorial_ratio(pi: PlanePartition) -> FactorProduct:
         (q_factorial(pi.entry(i, j) - pi.entry(i + 1, j + 1), "L") for i, j in boxes),
         (q_factorial(pi.entry(i, j) - pi.entry(i + di, j + dj), "L")
          for i, j in boxes for di, dj in ((1, 0), (0, 1))),
+    )
+
+
+def reference_chain_class(mu, nu) -> FactorProduct:
+    """The chain class stage by stage:
+
+        [mu1]! [GL_nu1] / ([nu1]! [mu1-nu1]!)
+        * prod_i [mu_i - nu_{i+1}]! [GL_{mu_{i+1}}] / ([mu_i - mu_{i+1}]! [mu_{i+1} - nu_{i+1}]!)
+    """
+    mu_t, nu_t = _normalize_chain(mu, nu)
+    stages = list(zip(mu_t, mu_t[1:], nu_t[1:]))  # (mu_i, mu_{i+1}, nu_{i+1})
+    return FactorProduct.prod(
+        [q_factorial(mu_t[0], "L"), gl_class(nu_t[0])]
+        + [f for a, b, v in stages for f in (q_factorial(a - v, "L"), gl_class(b))],
+        [q_factorial(d, "L") for d in (nu_t[0], mu_t[0] - nu_t[0])]
+        + [q_factorial(d, "L") for a, b, v in stages for d in (a - b, b - v)],
     )
 
 

@@ -93,6 +93,8 @@ def test_non_surjective_h_rejected():
         count_chain_points(ChainInstance((2, 2), (2, 1), (((True, 0),),)), 2)
     with pytest.raises(ValueError, match="expected 1 intertwining maps, got 2"):
         count_chain_points(ChainInstance((2, 2), (2, 1), (((0, 1),), ((0, 1),))), 2)
+    with pytest.raises(ValueError, match="expected a list of 2 intertwining maps, got 5"):
+        count_chain_points(ChainInstance((2, 2, 2), (2, 1, 1), h=5), 2)
     for wrong in (((0, 1), (1, 0)), 5):  # two rows of a 1x2 map; no matrix at all
         with pytest.raises(ValueError, match="map 0 must be 1x2"):
             count_chain_points(ChainInstance((2, 2), (2, 1), (wrong,)), 2)
@@ -206,6 +208,23 @@ def _largest_admitted_prime(a: int, b: int) -> int:
 
 
 SHAPES = [(a, b) for a in range(1, 5) for b in range(a, 6)]
+
+
+def test_budget_guard_reads_the_entry_count(monkeypatch):
+    # the guard admits p^entries tuples and refuses one fewer; an instance
+    # with no free entry has no budget below p^0 = 1 to refuse
+    counted = []
+    monkeypatch.setattr(fforacle, "_count_points", lambda maps, squares, p: counted.append(p) or 0)
+    grids = [(count_grid_points, GridInstance, (pi,), grid_entry_count(pi))
+             for w in range(8) for pi in enumerate_plane_partitions(w)]
+    chains = [(count_chain_points, ChainInstance, shape, chain_entry_count(*shape)) for shape in CHAIN_SHAPES]
+    for count, instance, args, entries in grids + chains:
+        for p in (2, 3):
+            if entries:
+                with pytest.raises(BudgetExceededError, match="exceed the budget"):
+                    count(instance(*args, budget=p**entries - 1), p)
+            count(instance(*args, budget=p**entries), p)
+    assert len(counted) == 2 * (len(grids) + len(chains))
 
 
 @st.composite

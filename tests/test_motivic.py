@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from reference import reference_box_factorial_ratio
+from reference import reference_box_factorial_ratio, reference_chain_class
 
 from macmahon import acceptance, motivic
 from macmahon.cli import main
@@ -209,6 +211,27 @@ def test_chain_class_validation():
     assert surjective_chain_class((2,), (1, 0, 0)).polynomial() == {0: -1, 2: 1}
     with pytest.raises(ValueError, match="nu is longer than mu"):
         surjective_chain_class((2,), (1, 1))
+
+
+def chain_shapes(stages: int, top: int) -> list:
+    """Every (mu, nu) with `stages` stages and dimensions <= top."""
+    decreasing = [s for s in product(range(top + 1), repeat=stages) if all(a >= b for a, b in zip(s, s[1:]))]
+    return [(mu, nu) for mu in decreasing for nu in decreasing if all(m >= v for m, v in zip(mu, nu))]
+
+
+def test_derived_chain_classes_equal_the_stage_by_stage_product():
+    chains = [c for k in (1, 2) for c in chain_shapes(k, 5)] + [c for k in (3, 4) for c in chain_shapes(k, 3)]
+    assert len(chains) == 882
+    for mu, nu in chains:
+        assert surjective_chain_class(mu, nu).factors == reference_chain_class(mu, nu), (mu, nu)
+
+
+def test_chain_class_cache_holds_one_entry_per_normalized_chain():
+    motivic._chain_class.cache_clear()
+    cls = surjective_chain_class((2,), (1, 0, 0))
+    assert surjective_chain_class([2], [1]) is cls
+    assert surjective_chain_class((2,), (1,)) is cls
+    assert motivic._chain_class.cache_info().currsize == 1
 
 
 def test_grid_class_examples():
